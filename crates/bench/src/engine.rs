@@ -1,374 +1,50 @@
-//! The self-measuring engine benchmark behind `dvh bench-engine`.
-//!
-//! Two measurements, both of the *simulator itself* (simulated cycle
-//! counts are deterministic and never appear here):
-//!
-//! 1. **Exit rate** — the Table 3 microbenchmark loop in the L3
-//!    baseline configuration, the deepest and most exit-dense machine
-//!    the evaluation uses. Reported as hardware exits simulated per
-//!    wall-clock second, best of several repeats (the simulator is
-//!    deterministic, so repeats differ only by host noise and the
-//!    minimum is the honest figure).
-//! 2. **Sweep wall-clock** — one full application figure regenerated
-//!    serially and then fanned out over [`crate::parallel`], with the
-//!    speedup and a byte-identity check of the two CSVs. On a
-//!    single-core host the speedup is ~1x by construction; the
-//!    determinism bit must hold everywhere.
-//!
-//! Results serialize to `BENCH_engine.json` (hand-rolled writer and a
-//! matching minimal reader — the repo deliberately has no JSON
-//! dependency), which CI compares against the committed baseline.
-
-use dvh_core::{Machine, MachineConfig};
-use std::time::Instant;
-
-/// Everything one `dvh bench-engine` run measures.
-#[derive(Debug, Clone, PartialEq)]
-pub struct EngineBenchResult {
-    /// Whether this was a `--quick` run (smaller loop, fewer repeats).
-    pub quick: bool,
-    /// Worker threads used for the parallel sweep leg.
-    pub workers: usize,
-    /// Microbenchmark loop iterations per repeat.
-    pub micro_iters: u32,
-    /// Timed repeats of the microbenchmark loop.
-    pub micro_repeats: u32,
-    /// Hardware exits simulated by one repeat of the loop.
-    pub total_exits: u64,
-    /// Best (smallest) wall-clock seconds for one repeat.
-    pub micro_wall_s: f64,
-    /// Best exits/second across repeats.
-    pub exit_rate: f64,
-    /// Figure regenerated by the sweep leg.
-    pub sweep_figure: u32,
-    /// Serial sweep wall-clock seconds.
-    pub sweep_serial_s: f64,
-    /// Parallel sweep wall-clock seconds (at `workers`).
-    pub sweep_parallel_s: f64,
-    /// `sweep_serial_s / sweep_parallel_s`.
-    pub sweep_speedup: f64,
-    /// Whether serial and parallel sweeps produced identical CSV.
-    pub sweep_deterministic: bool,
-    /// Best exits/second with the dvh-obs metrics registry enabled —
-    /// measures what observability costs when it is on. The CI gate
-    /// stays on `exit_rate` (the disabled path, which must cost
-    /// nothing); this leg is informative.
-    pub metrics_exit_rate: f64,
-    /// Whether the metrics leg's exit-cycle histogram totals equalled
-    /// the engine's attribution ledger in every repeat.
-    pub metrics_conserved: bool,
-    /// Median simulated cycles per outermost exit in the metrics leg
-    /// (bucket upper bound; deterministic across runs and hosts).
-    pub p50_exit_cycles: u64,
-    /// 99th-percentile simulated cycles per outermost exit in the
-    /// metrics leg.
-    pub p99_exit_cycles: u64,
-}
-
-/// One timed repeat of the Table 3 microbenchmark loop at L3: returns
-/// (exits simulated, wall seconds, metrics conserved, exit latency
-/// percentiles). With `with_metrics`, the dvh-obs registry records
-/// during the timed loop, the third element reports whether its
-/// exit-cycle totals equalled the attribution ledger (trivially true
-/// otherwise), and the fourth carries the aggregate outermost-exit
-/// latency percentiles (simulated cycles — deterministic, unlike the
-/// wall-clock numbers).
-fn micro_repeat(
-    iters: u32,
-    with_metrics: bool,
-) -> (u64, f64, bool, Option<dvh_obs::percentiles::Percentiles>) {
-    let mut m = Machine::build(MachineConfig::baseline(3));
-    // Warm up caches and the machine's lazily-grown ledgers, then
-    // measure from a clean ledger so `total_exits` covers exactly the
-    // timed loop.
-    for _ in 0..5 {
-        m.hypercall(0);
-        m.program_timer(0);
-        m.device_notify(0);
-    }
-    m.world_mut().reset_stats();
-    if with_metrics {
-        m.world_mut().enable_metrics();
-    }
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        m.hypercall(0);
-        m.program_timer(0);
-        if m.vcpus() > 1 {
-            m.send_ipi(0, 1);
-        }
-        m.device_notify(0);
-    }
-    let wall = t0.elapsed().as_secs_f64();
-    let (conserved, percentiles) = match m.world().metrics() {
-        Some(reg) => (
-            reg.exit_cycle_totals() == m.world().stats.cycles_by_reason,
-            dvh_obs::percentiles::exit_percentiles(reg)
-                .into_iter()
-                .find(|(level, _)| level.is_none())
-                .map(|(_, p)| p),
-        ),
-        None => (true, None),
-    };
-    (m.world().stats.total_exits(), wall, conserved, percentiles)
-}
-
-/// Runs the full engine benchmark.
-pub fn run(quick: bool) -> EngineBenchResult {
-    let workers = crate::parallel::available_workers();
-    let (micro_iters, micro_repeats) = if quick { (500, 3) } else { (5000, 7) };
-
-    let mut total_exits = 0;
-    let mut best_wall = f64::INFINITY;
-    for _ in 0..micro_repeats {
-        let (exits, wall, _, _) = micro_repeat(micro_iters, false);
-        total_exits = exits;
-        best_wall = best_wall.min(wall);
-    }
-    let exit_rate = total_exits as f64 / best_wall;
-
-    let mut metrics_best = f64::INFINITY;
-    let mut metrics_conserved = true;
-    let mut percentiles = None;
-    for _ in 0..micro_repeats {
-        let (_, wall, conserved, p) = micro_repeat(micro_iters, true);
-        metrics_best = metrics_best.min(wall);
-        metrics_conserved &= conserved;
-        // Deterministic: every repeat produces the same percentiles.
-        percentiles = p;
-    }
-    let metrics_exit_rate = total_exits as f64 / metrics_best;
-    let (p50_exit_cycles, p99_exit_cycles) = percentiles.map_or((0, 0), |p| (p.p50, p.p99));
-
-    let sweep_figure = 7;
-    let t0 = Instant::now();
-    let serial = crate::harness::figure_with_workers(sweep_figure, 1).expect("figure 7 exists");
-    let sweep_serial_s = t0.elapsed().as_secs_f64();
-    let t1 = Instant::now();
-    let parallel =
-        crate::harness::figure_with_workers(sweep_figure, workers).expect("figure 7 exists");
-    let sweep_parallel_s = t1.elapsed().as_secs_f64();
-
-    EngineBenchResult {
-        quick,
-        workers,
-        micro_iters,
-        micro_repeats,
-        total_exits,
-        micro_wall_s: best_wall,
-        exit_rate,
-        sweep_figure,
-        sweep_serial_s,
-        sweep_parallel_s,
-        sweep_speedup: sweep_serial_s / sweep_parallel_s.max(1e-9),
-        sweep_deterministic: serial.to_csv() == parallel.to_csv(),
-        metrics_exit_rate,
-        metrics_conserved,
-        p50_exit_cycles,
-        p99_exit_cycles,
-    }
-}
-
-impl EngineBenchResult {
-    /// Serializes to the `BENCH_engine.json` format.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\n  \"schema\": \"dvh-bench-engine/v1\",\n  \"quick\": {},\n  \
-             \"workers\": {},\n  \"micro_iters\": {},\n  \"micro_repeats\": {},\n  \
-             \"total_exits\": {},\n  \"micro_wall_s\": {:.6},\n  \"exit_rate\": {:.0},\n  \
-             \"sweep_figure\": {},\n  \"sweep_serial_s\": {:.6},\n  \
-             \"sweep_parallel_s\": {:.6},\n  \"sweep_speedup\": {:.3},\n  \
-             \"sweep_deterministic\": {},\n  \"metrics_exit_rate\": {:.0},\n  \
-             \"metrics_conserved\": {},\n  \"p50_exit_cycles\": {},\n  \
-             \"p99_exit_cycles\": {}\n}}\n",
-            self.quick,
-            self.workers,
-            self.micro_iters,
-            self.micro_repeats,
-            self.total_exits,
-            self.micro_wall_s,
-            self.exit_rate,
-            self.sweep_figure,
-            self.sweep_serial_s,
-            self.sweep_parallel_s,
-            self.sweep_speedup,
-            self.sweep_deterministic,
-            self.metrics_exit_rate,
-            self.metrics_conserved,
-            self.p50_exit_cycles,
-            self.p99_exit_cycles,
-        )
-    }
-
-    /// Human-readable report.
-    pub fn to_report(&self) -> String {
-        format!(
-            "engine benchmark ({} mode, {} worker{}):\n  \
-             L3 micro loop: {} exits in {:.3} s  ->  {:.2}M exits/s (best of {})\n  \
-             fig {} sweep: serial {:.3} s, parallel {:.3} s  ->  {:.2}x speedup\n  \
-             parallel sweep byte-identical to serial: {}\n  \
-             with metrics on: {:.2}M exits/s (cycle totals conserved: {})\n  \
-             exit latency (simulated cycles): p50 {}, p99 {}\n",
-            if self.quick { "quick" } else { "full" },
-            self.workers,
-            if self.workers == 1 { "" } else { "s" },
-            self.total_exits,
-            self.micro_wall_s,
-            self.exit_rate / 1e6,
-            self.micro_repeats,
-            self.sweep_figure,
-            self.sweep_serial_s,
-            self.sweep_parallel_s,
-            self.sweep_speedup,
-            self.sweep_deterministic,
-            self.metrics_exit_rate / 1e6,
-            self.metrics_conserved,
-            self.p50_exit_cycles,
-            self.p99_exit_cycles,
-        )
-    }
-}
-
-/// Extracts the numeric value of `"key":` from the flat v1 JSON.
-fn json_number(json: &str, key: &str) -> Option<f64> {
-    let needle = format!("\"{key}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = json[start..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// The baseline values the CI regression gate compares against.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Baseline {
-    /// Exits/second of the committed baseline run.
-    pub exit_rate: f64,
-}
-
-impl Baseline {
-    /// Reads a baseline from `BENCH_engine.json` text.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the text is not a v1 engine-bench file.
-    pub fn parse(json: &str) -> Result<Baseline, String> {
-        if !json.contains("dvh-bench-engine/v1") {
-            return Err("not a dvh-bench-engine/v1 file".into());
-        }
-        let exit_rate = json_number(json, "exit_rate")
-            .ok_or_else(|| "missing \"exit_rate\" in baseline".to_string())?;
-        if !(exit_rate.is_finite() && exit_rate > 0.0) {
-            return Err(format!("nonsensical baseline exit_rate {exit_rate}"));
-        }
-        Ok(Baseline { exit_rate })
-    }
-}
-
-/// The CI regression gate: fails when the measured exit rate fell
-/// more than `tolerance` (a fraction, e.g. 0.25) below the baseline.
-///
-/// Wall-clock comparisons across *different* hosts are meaningless;
-/// the gate is for same-host (CI runner class) trend detection, which
-/// is why the tolerance is generous.
-///
-/// # Errors
-///
-/// Returns the failure message CI prints.
-pub fn check_regression(
-    current: &EngineBenchResult,
-    baseline: &Baseline,
-    tolerance: f64,
-) -> Result<(), String> {
-    let floor = baseline.exit_rate * (1.0 - tolerance);
-    if current.exit_rate < floor {
-        return Err(format!(
-            "engine regression: {:.2}M exits/s is more than {:.0}% below the \
-             baseline {:.2}M exits/s",
-            current.exit_rate / 1e6,
-            tolerance * 100.0,
-            baseline.exit_rate / 1e6,
-        ));
-    }
-    Ok(())
-}
+//! Engine-level conservation checks on the Table 3 microbenchmark loop
+//! at L3, the deepest and most exit-dense machine the evaluation uses.
+//! Host cost is measured by `perfbench/`; these tests pin only the
+//! simulated, deterministic side of that loop.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use dvh_core::{Machine, MachineConfig};
 
-    fn sample() -> EngineBenchResult {
-        EngineBenchResult {
-            quick: true,
-            workers: 4,
-            micro_iters: 500,
-            micro_repeats: 3,
-            total_exits: 734_000,
-            micro_wall_s: 0.033,
-            exit_rate: 22_242_424.0,
-            sweep_figure: 7,
-            sweep_serial_s: 0.35,
-            sweep_parallel_s: 0.1,
-            sweep_speedup: 3.5,
-            sweep_deterministic: true,
-            metrics_exit_rate: 21_000_000.0,
-            metrics_conserved: true,
-            p50_exit_cycles: 4096,
-            p99_exit_cycles: 65_536,
+    /// Runs `iters` rounds of the Table 3 loop on the L3 baseline with
+    /// the dvh-obs registry recording, and returns the machine.
+    fn metered_l3_loop(iters: u32) -> Machine {
+        let mut m = Machine::build(MachineConfig::baseline(3));
+        // Warm up the machine's lazily-grown ledgers, then measure from
+        // a clean ledger so the totals cover exactly the loop below.
+        for _ in 0..5 {
+            m.hypercall(0);
+            m.program_timer(0);
+            m.device_notify(0);
         }
-    }
-
-    #[test]
-    fn json_round_trips_the_baseline_fields() {
-        let json = sample().to_json();
-        let b = Baseline::parse(&json).unwrap();
-        assert!((b.exit_rate - 22_242_424.0).abs() < 1.0);
-    }
-
-    #[test]
-    fn regression_gate_fires_only_past_tolerance() {
-        let mut r = sample();
-        let b = Baseline { exit_rate: 20e6 };
-        r.exit_rate = 16e6; // 20% down: within a 25% tolerance
-        assert!(check_regression(&r, &b, 0.25).is_ok());
-        r.exit_rate = 14e6; // 30% down: regression
-        let err = check_regression(&r, &b, 0.25).unwrap_err();
-        assert!(err.contains("regression"), "{err}");
-    }
-
-    #[test]
-    fn baseline_rejects_garbage() {
-        assert!(Baseline::parse("{}").is_err());
-        assert!(Baseline::parse("\"schema\": \"dvh-bench-engine/v1\"").is_err());
-    }
-
-    #[test]
-    fn report_mentions_the_headline_numbers() {
-        let text = sample().to_report();
-        assert!(text.contains("22.24M exits/s"));
-        assert!(text.contains("3.50x speedup"));
-    }
-
-    #[test]
-    fn quick_run_measures_something() {
-        // One genuinely quick repeat (not `run(true)`, which repeats
-        // and sweeps — that level of coverage lives in the CLI test).
-        let (exits, wall, conserved, percentiles) = micro_repeat(20, false);
-        assert!(percentiles.is_none(), "no metrics leg, no percentiles");
-        assert!(exits > 10_000, "L3 loop must multiply exits: {exits}");
-        assert!(wall > 0.0);
-        assert!(conserved, "vacuously true without metrics");
+        m.world_mut().reset_stats();
+        m.world_mut().enable_metrics();
+        for _ in 0..iters {
+            m.hypercall(0);
+            m.program_timer(0);
+            if m.vcpus() > 1 {
+                m.send_ipi(0, 1);
+            }
+            m.device_notify(0);
+        }
+        m
     }
 
     #[test]
     fn metrics_leg_conserves_against_ledger() {
-        let (exits, _, conserved, percentiles) = micro_repeat(20, true);
-        let p = percentiles.expect("metrics leg derives exit-latency percentiles");
+        let m = metered_l3_loop(20);
+        let reg = m.world().metrics().expect("metrics were enabled");
+        let p = dvh_obs::percentiles::exit_percentiles(reg)
+            .into_iter()
+            .find(|(level, _)| level.is_none())
+            .map(|(_, p)| p)
+            .expect("metrics leg derives exit-latency percentiles");
         assert!(p.p50 <= p.p99, "percentiles must be monotone");
-        assert!(exits > 10_000);
-        assert!(
-            conserved,
+        assert!(m.world().stats.total_exits() > 10_000);
+        assert_eq!(
+            reg.exit_cycle_totals(),
+            m.world().stats.cycles_by_reason,
             "exit-cycle histogram totals must equal the attribution ledger"
         );
     }

@@ -1,5 +1,5 @@
-//! Experiment definitions shared by the harness binaries and the
-//! Criterion benches.
+//! Experiment definitions shared by the harness binaries, the CLI and
+//! `perfbench/`.
 
 use dvh_core::{DvhFlags, Machine, MachineConfig};
 use dvh_migration::{migrate_nested_vm, MigrationConfig};
@@ -242,20 +242,6 @@ fn figure_spec(figure: u32) -> Option<(&'static str, Vec<(&'static str, MachineC
 /// figure is byte-identical at any worker count.
 pub fn figure_with_workers(figure: u32, workers: usize) -> Option<Figure> {
     figure_spec(figure).map(|(title, configs)| run_figure_with_workers(title, configs, workers))
-}
-
-/// Runs one figure cell (application × configuration) with the dvh-obs
-/// registry enabled and returns (registry, overhead). Device lifetime
-/// counters are exported into the registry after the run, so the cell
-/// profile covers both cycle attribution and datapath activity. This
-/// is the backend of `dvh profile --app`.
-pub fn profile_cell(app: AppId, cfg: MachineConfig, txns: u32) -> (dvh_obs::MetricsRegistry, f64) {
-    let mut m = Machine::build(cfg);
-    m.world_mut().enable_metrics();
-    let overhead = run_app(&mut m, &app.mix(), txns).overhead;
-    m.world_mut().export_device_metrics();
-    let reg = m.world_mut().take_metrics().unwrap_or_default();
-    (reg, overhead)
 }
 
 /// Fig. 7: application performance at two virtualization levels,

@@ -14,14 +14,12 @@
 //! | `cargo run -p dvh-bench --bin migration` | §4 migration experiment |
 //! | `cargo run -p dvh-bench --bin recursion` | §3.5 recursion beyond L3 (extension) |
 //!
-//! Plain benches (`cargo bench`, using the in-tree [`tinybench`]
-//! runner) measure the same operations for regression tracking of the
-//! simulator itself.
+//! The host cost of the simulator itself is measured by `perfbench/`
+//! (see `perfbench/README.md` and `BENCHMARK.json`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod engine;
+mod engine;
 pub mod harness;
 pub mod parallel;
-pub mod tinybench;

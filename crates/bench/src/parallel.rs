@@ -71,16 +71,6 @@ where
         .collect()
 }
 
-/// [`pmap_with_workers`] at this host's [`available_workers`].
-pub fn pmap<T, R, F>(items: &[T], f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    pmap_with_workers(available_workers(), items, f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -179,17 +179,6 @@ pub enum Command {
         /// byte-identical at any worker count.
         workers: usize,
     },
-    /// Benchmark the simulator engine itself (exits/second and sweep
-    /// wall-clock), emitting `BENCH_engine.json`.
-    BenchEngine {
-        /// Smaller loop and fewer repeats, for CI smoke runs.
-        quick: bool,
-        /// Where to write the JSON result (`None` = don't write).
-        out: Option<String>,
-        /// Baseline JSON to compare against (>25% exit-rate drop
-        /// fails the command).
-        baseline: Option<String>,
-    },
     /// Dump the full event trace of one operation or application run.
     Trace {
         /// Operation: hypercall|timer|ipi|devnotify (ignored when
@@ -423,11 +412,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 workers: opts.usize_of("--workers", 0)?,
             })
         }
-        "bench-engine" => Ok(Command::BenchEngine {
-            quick: opts.has("--quick"),
-            out: opts.value_of("--out").map(str::to_string),
-            baseline: opts.value_of("--baseline").map(str::to_string),
-        }),
         "check" => {
             // check gates CI, so unlike the exploratory subcommands it
             // rejects anything it does not understand: a typo'd flag
@@ -554,7 +538,6 @@ USAGE:
   dvh results <file.csv> ...
   dvh explain [--op hypercall|timer|ipi|devnotify] [--level N] [--config ...]
   dvh sweep   [--figure 7|8|9|10] [--workers N]
-  dvh bench-engine [--quick] [--out FILE] [--baseline FILE]
   dvh trace   [--op hypercall|timer|ipi|devnotify | --app NAME [--txns N]]
               [--level N] [--config ...] [--format text|chrome|jsonl]
   dvh profile [--op hypercall|timer|ipi|devnotify | --app NAME [--txns N]]

@@ -305,32 +305,6 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 .expect("validated at parse time");
             w(out, fig.to_csv())
         }
-        Command::BenchEngine {
-            quick,
-            out: out_path,
-            baseline,
-        } => {
-            let r = dvh_bench::engine::run(quick);
-            w(out, r.to_report())?;
-            if let Some(path) = out_path {
-                std::fs::write(&path, r.to_json()).map_err(|e| format!("{path}: {e}"))?;
-                w(out, format!("wrote {path}\n"))?;
-            }
-            if let Some(path) = baseline {
-                let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                let b = dvh_bench::engine::Baseline::parse(&text)
-                    .map_err(|e| format!("{path}: {e}"))?;
-                dvh_bench::engine::check_regression(&r, &b, 0.25)?;
-                w(
-                    out,
-                    format!(
-                        "within 25% of baseline ({:.2}M exits/s)\n",
-                        b.exit_rate / 1e6
-                    ),
-                )?;
-            }
-            Ok(())
-        }
         Command::Check { source_root } => {
             let root = source_root.map(std::path::PathBuf::from);
             let report = dvh_checker::harness::run_all(root.as_deref())

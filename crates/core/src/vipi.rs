@@ -79,7 +79,6 @@ impl Vcimt {
 pub struct VirtualIpis {
     /// The mapping table shared by the guest hypervisor (VCIMTAR).
     pub vcimt: Vcimt,
-    intercepts: u64,
 }
 
 impl VirtualIpis {
@@ -87,13 +86,7 @@ impl VirtualIpis {
     pub fn new(vcpus: usize) -> VirtualIpis {
         VirtualIpis {
             vcimt: Vcimt::identity(vcpus),
-            intercepts: 0,
         }
-    }
-
-    /// How many IPI sends this extension has handled.
-    pub fn intercept_count(&self) -> u64 {
-        self.intercepts
     }
 }
 
@@ -124,8 +117,6 @@ impl L0Extension for VirtualIpis {
         let Some(pi_desc) = self.vcimt.lookup(icr.dest as usize) else {
             return Intercept::NotHandled;
         };
-        self.intercepts += 1;
-
         // Confirm enablement (native vmread of merged controls) and
         // read the VCIMTAR + table entry (guest-memory walks, Fig. 5
         // step 2).

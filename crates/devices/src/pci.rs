@@ -181,11 +181,6 @@ impl PciDevice {
         self.caps.iter().find(|c| c.id() == id)
     }
 
-    /// Mutable find, for programming capability registers.
-    pub fn find_capability_mut(&mut self, id: u8) -> Option<&mut Capability> {
-        self.caps.iter_mut().find(|c| c.id() == id)
-    }
-
     /// Convenience: the migration capability, if present.
     pub fn migration_cap(&self) -> Option<&MigrationCap> {
         self.caps.iter().find_map(|c| match c {

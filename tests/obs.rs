@@ -91,7 +91,12 @@ fn metrics_registry_is_the_ledgers_twin() {
 
 #[test]
 fn every_fig7_column_conserves_under_netperf() {
-    for (name, config) in dvh_checker::harness::fig7_configs() {
+    // Plus the L3 baseline machine: the deepest exit multiplication,
+    // where registry and ledger have the most nested exits to agree on.
+    let configs = dvh_checker::harness::fig7_configs()
+        .into_iter()
+        .chain([("l3/nested", MachineConfig::baseline(3))]);
+    for (name, config) in configs {
         let mut m = Machine::build(config);
         m.world_mut().enable_metrics();
         run_app(&mut m, &AppId::NetperfRr.mix(), 20);
