@@ -1,9 +1,17 @@
 //! Argument parsing for the `dvh` binary (dependency-free, artifact
 //! style: small fixed vocabulary).
+//!
+//! [`USAGE`] is the grammar. Each `dvh ...` entry declares its
+//! subcommand's flags: `[--flag]` is a switch, `--flag X` or
+//! `[--flag X]` takes a value, and `<...>` admits positionals. [`parse`]
+//! rejects an unknown flag, a stray positional, a missing value and a
+//! repeated flag, so the help text and the parser cannot drift apart.
 
 use dvh_core::MachineConfig;
 use dvh_workloads::AppId;
 use std::fmt;
+use std::ops::RangeBounds;
+use std::str::FromStr;
 
 /// The VM configuration vocabulary of the paper's artifact
 /// (`run-vm.py`'s second option): `base`, `passthrough`, `dvh-vp`,
@@ -21,17 +29,19 @@ pub enum CliConfig {
 }
 
 impl CliConfig {
+    /// The artifact vocabulary, default first; `pt` is shorthand for
+    /// `passthrough`.
+    const NAMES: &'static [(&'static str, CliConfig)] = &[
+        ("base", CliConfig::Base),
+        ("passthrough", CliConfig::Passthrough),
+        ("pt", CliConfig::Passthrough),
+        ("dvh-vp", CliConfig::DvhVp),
+        ("dvh", CliConfig::Dvh),
+    ];
+
     /// Parses the artifact vocabulary.
     pub fn parse(s: &str) -> Result<CliConfig, ParseError> {
-        match s {
-            "base" => Ok(CliConfig::Base),
-            "passthrough" | "pt" => Ok(CliConfig::Passthrough),
-            "dvh-vp" => Ok(CliConfig::DvhVp),
-            "dvh" => Ok(CliConfig::Dvh),
-            other => Err(ParseError(format!(
-                "unknown config '{other}' (expected base|passthrough|dvh-vp|dvh)"
-            ))),
-        }
+        pick("config", s, Self::NAMES)
     }
 
     /// Builds the machine configuration at `level`.
@@ -47,21 +57,18 @@ impl CliConfig {
 
 impl fmt::Display for CliConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            CliConfig::Base => "base",
-            CliConfig::Passthrough => "passthrough",
-            CliConfig::DvhVp => "dvh-vp",
-            CliConfig::Dvh => "dvh",
-        };
-        f.write_str(s)
+        let (name, _) = Self::NAMES
+            .iter()
+            .find(|(_, c)| c == self)
+            .expect("every config is named");
+        f.write_str(name)
     }
 }
 
 /// Output format for `dvh trace`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceFormat {
     /// One human-readable line per event (the default).
-    #[default]
     Text,
     /// A Chrome trace-event JSON document (load in `about:tracing`
     /// or Perfetto; one process per simulated CPU, one thread track
@@ -71,43 +78,32 @@ pub enum TraceFormat {
     Jsonl,
 }
 
-impl TraceFormat {
-    /// Parses `text`, `chrome`, or `jsonl`.
-    pub fn parse(s: &str) -> Result<TraceFormat, ParseError> {
-        match s {
-            "text" => Ok(TraceFormat::Text),
-            "chrome" => Ok(TraceFormat::Chrome),
-            "jsonl" => Ok(TraceFormat::Jsonl),
-            other => Err(ParseError(format!(
-                "unknown trace format '{other}' (expected text|chrome|jsonl)"
-            ))),
-        }
-    }
-}
-
 /// Output format for `dvh profile`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileFormat {
     /// The top-N attribution table plus latency percentiles (the
     /// default).
-    #[default]
     Table,
     /// Folded-stack flamegraph lines rebuilt from the causal tree of
     /// every outermost exit (`flamegraph.pl`-compatible).
     Folded,
 }
 
-impl ProfileFormat {
-    /// Parses `table` or `folded`.
-    pub fn parse(s: &str) -> Result<ProfileFormat, ParseError> {
-        match s {
-            "table" => Ok(ProfileFormat::Table),
-            "folded" => Ok(ProfileFormat::Folded),
-            other => Err(ParseError(format!(
-                "unknown profile format '{other}' (expected table|folded)"
-            ))),
-        }
-    }
+/// What `trace`, `profile` and `obs snapshot` run: one named
+/// operation, or a full application benchmark when `app` is given.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Target {
+    /// Operation: hypercall|timer|ipi|devnotify (ignored when `app` is
+    /// given).
+    pub op: String,
+    /// Run a full application benchmark instead of one operation.
+    pub app: Option<AppId>,
+    /// Transactions when running an application.
+    pub txns: u32,
+    /// Virtualization level.
+    pub level: usize,
+    /// VM configuration.
+    pub config: CliConfig,
 }
 
 /// A parsed command line.
@@ -181,36 +177,16 @@ pub enum Command {
     },
     /// Dump the full event trace of one operation or application run.
     Trace {
-        /// Operation: hypercall|timer|ipi|devnotify (ignored when
-        /// `app` is given).
-        op: String,
-        /// Trace a full application benchmark instead of one
-        /// operation.
-        app: Option<AppId>,
-        /// Transactions when tracing an application.
-        txns: u32,
-        /// Virtualization level.
-        level: usize,
-        /// VM configuration.
-        config: CliConfig,
+        /// What to run.
+        target: Target,
         /// Output format.
         format: TraceFormat,
     },
     /// Profile cycle attribution: top-N (level, reason) rows from the
     /// dvh-obs metrics registry.
     Profile {
-        /// Operation: hypercall|timer|ipi|devnotify (ignored when
-        /// `app` is given).
-        op: String,
-        /// Profile a full application benchmark instead of one
-        /// operation.
-        app: Option<AppId>,
-        /// Transactions when profiling an application.
-        txns: u32,
-        /// Virtualization level.
-        level: usize,
-        /// VM configuration.
-        config: CliConfig,
+        /// What to run.
+        target: Target,
         /// Rows to show.
         top: usize,
         /// Also dump the deterministic full-registry snapshot.
@@ -221,18 +197,8 @@ pub enum Command {
     /// Write (or print) an observability snapshot document for
     /// later differential analysis.
     ObsSnapshot {
-        /// Operation: hypercall|timer|ipi|devnotify (ignored when
-        /// `app` is given).
-        op: String,
-        /// Snapshot a full application benchmark instead of one
-        /// operation.
-        app: Option<AppId>,
-        /// Transactions when snapshotting an application.
-        txns: u32,
-        /// Virtualization level.
-        level: usize,
-        /// VM configuration.
-        config: CliConfig,
+        /// What to run.
+        target: Target,
         /// Where to write the JSON (`None` = stdout).
         out: Option<String>,
         /// Emit Prometheus text exposition format instead of the
@@ -272,58 +238,184 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-fn parse_app(s: &str) -> Result<AppId, ParseError> {
-    Ok(match s.to_ascii_lowercase().as_str() {
-        "netperf-rr" | "rr" => AppId::NetperfRr,
-        "netperf-stream" | "stream" => AppId::NetperfStream,
-        "netperf-maerts" | "maerts" => AppId::NetperfMaerts,
-        "apache" => AppId::Apache,
-        "memcached" => AppId::Memcached,
-        "mysql" => AppId::Mysql,
-        "hackbench" => AppId::Hackbench,
-        other => {
-            return Err(ParseError(format!(
-                "unknown app '{other}' (expected rr|stream|maerts|apache|memcached|mysql|hackbench)"
-            )))
+/// Looks `s` up in a vocabulary table.
+fn pick<T: Copy>(what: &str, s: &str, table: &[(&str, T)]) -> Result<T, ParseError> {
+    let names: Vec<&str> = table.iter().map(|(name, _)| *name).collect();
+    let i = names.iter().position(|name| *name == s).ok_or_else(|| {
+        ParseError(format!(
+            "unknown {what} '{s}' (expected {})",
+            names.join("|")
+        ))
+    })?;
+    Ok(table[i].1)
+}
+
+/// One subcommand's arguments, checked against its [`USAGE`] entry.
+struct Args<'a> {
+    /// Each flag given, with its value (`None` for a switch).
+    flags: Vec<(&'a str, Option<&'a str>)>,
+    positionals: Vec<&'a str>,
+}
+
+impl<'a> Args<'a> {
+    /// Checks `argv` against the flags and positionals `entry`
+    /// declares.
+    fn scan(cmd: &str, entry: &str, argv: &'a [String]) -> Result<Args<'a>, ParseError> {
+        let words: Vec<&str> = entry.split_whitespace().collect();
+        // Some(takes a value) for a declared flag.
+        let declared = |flag: &str| {
+            words.iter().enumerate().find_map(|(i, w)| {
+                let w = w.trim_start_matches('[');
+                let name = w.trim_end_matches(']');
+                (name == flag).then(|| {
+                    name.len() == w.len()
+                        && words
+                            .get(i + 1)
+                            .is_some_and(|next| !next.starts_with(['[', '-', '|']))
+                })
+            })
+        };
+        let mut args = Args {
+            flags: Vec::new(),
+            positionals: Vec::new(),
+        };
+        let mut rest = argv.iter().map(String::as_str).peekable();
+        while let Some(a) = rest.next() {
+            if !a.starts_with('-') {
+                if !entry.contains('<') {
+                    return Err(ParseError(format!("unexpected argument '{a}' for {cmd}")));
+                }
+                args.positionals.push(a);
+                continue;
+            }
+            let takes_value =
+                declared(a).ok_or_else(|| ParseError(format!("unknown flag '{a}' for {cmd}")))?;
+            if args.has(a) {
+                return Err(ParseError(format!("{a} given twice")));
+            }
+            let value = match rest.peek() {
+                _ if !takes_value => None,
+                Some(v) if !v.starts_with("--") => rest.next(),
+                _ => return Err(ParseError(format!("{a} expects a value"))),
+            };
+            args.flags.push((a, value));
         }
-    })
-}
-
-struct Opts<'a> {
-    rest: &'a [String],
-}
-
-impl<'a> Opts<'a> {
-    fn value_of(&self, flag: &str) -> Option<&'a str> {
-        self.rest
-            .iter()
-            .position(|a| a == flag)
-            .and_then(|i| self.rest.get(i + 1))
-            .map(String::as_str)
+        Ok(args)
     }
 
     fn has(&self, flag: &str) -> bool {
-        self.rest.iter().any(|a| a == flag)
+        self.flags.iter().any(|(f, _)| *f == flag)
     }
 
-    fn usize_of(&self, flag: &str, default: usize) -> Result<usize, ParseError> {
-        match self.value_of(flag) {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| ParseError(format!("{flag} expects a number, got '{v}'"))),
+    fn value(&self, flag: &str) -> Option<&'a str> {
+        self.flags.iter().find(|(f, _)| *f == flag)?.1
+    }
+
+    /// A number parsed at `T`'s width, `default` when absent.
+    fn num<T, R>(&self, flag: &str, default: T, range: R) -> Result<T, ParseError>
+    where
+        T: FromStr + PartialOrd,
+        T::Err: fmt::Display,
+        R: RangeBounds<T> + fmt::Debug,
+    {
+        let Some(v) = self.value(flag) else {
+            return Ok(default);
+        };
+        let n: T = v
+            .parse()
+            .map_err(|e| ParseError(format!("{flag} '{v}': {e}")))?;
+        if !range.contains(&n) {
+            return Err(ParseError(format!(
+                "{flag} must be in {range:?}, got '{v}'"
+            )));
         }
+        Ok(n)
     }
 
-    fn u32_of(&self, flag: &str, default: u32) -> Result<u32, ParseError> {
-        Ok(self.usize_of(flag, default as usize)? as u32)
+    /// A word from `table`; its first word is the default.
+    fn pick<T: Copy>(&self, flag: &str, table: &[(&str, T)]) -> Result<T, ParseError> {
+        self.value(flag).map_or(Ok(table[0].1), |s| {
+            pick(flag.trim_start_matches('-'), s, table)
+        })
+    }
+
+    /// An application name, `None` when absent.
+    fn app(&self, flag: &str) -> Result<Option<AppId>, ParseError> {
+        let names = AppId::ALL.map(AppId::cli_name).join("|");
+        let parse = |s: &str| {
+            AppId::parse(s)
+                .ok_or_else(|| ParseError(format!("unknown app '{s}' (expected {names})")))
+        };
+        self.value(flag).map(parse).transpose()
     }
 
     fn config(&self) -> Result<CliConfig, ParseError> {
-        match self.value_of("--config") {
-            None => Ok(CliConfig::Base),
-            Some(v) => CliConfig::parse(v),
+        self.pick("--config", CliConfig::NAMES)
+    }
+
+    fn target(&self) -> Result<Target, ParseError> {
+        Ok(Target {
+            op: self.value("--op").unwrap_or("timer").to_string(),
+            app: self.app("--app")?,
+            txns: self.num("--txns", 40, 1..)?,
+            level: self.num("--level", 2, 1..)?,
+            config: self.config()?,
+        })
+    }
+}
+
+/// The `dvh ...` entries of [`USAGE`], each with its continuation
+/// lines and without the leading `dvh`.
+fn entries() -> impl Iterator<Item = &'static str> {
+    USAGE.split("\n  dvh ").skip(1).map(str::trim_end)
+}
+
+/// The subcommand words an entry starts with (`micro`, `obs diff`).
+fn path(entry: &str) -> impl Iterator<Item = &str> {
+    entry
+        .split_whitespace()
+        .take_while(|w| !w.starts_with(['[', '-', '<']))
+}
+
+/// Finds the entry whose subcommand words begin `argv`; returns it
+/// with the number of words it consumed.
+fn lookup(argv: &[String]) -> Result<(&'static str, usize), ParseError> {
+    for entry in entries() {
+        let n = path(entry).count();
+        if argv.len() >= n && path(entry).zip(argv).all(|(w, a)| w == a) {
+            return Ok((entry, n));
         }
+    }
+    let first = argv.first().map_or("", String::as_str);
+    let subs: Vec<&str> = entries()
+        .filter(|e| path(e).next() == Some(first))
+        .filter_map(|e| path(e).nth(1))
+        .collect();
+    Err(ParseError(match subs.is_empty() {
+        true => format!("unknown command '{first}'"),
+        false => format!(
+            "unknown command '{}' (expected {first} {})",
+            argv[..argv.len().min(2)].join(" "),
+            subs.join("|")
+        ),
+    }))
+}
+
+/// The usage of `argv`'s subcommand: its [`USAGE`] entry, every entry
+/// sharing its first word when it names no single one, or all of
+/// [`USAGE`] when it names no subcommand at all.
+pub fn usage_of(argv: &[String]) -> String {
+    let first = argv.first().map(String::as_str);
+    let lines: String = match lookup(argv) {
+        Ok((entry, _)) => format!("  dvh {entry}\n"),
+        Err(_) => entries()
+            .filter(|e| path(e).next() == first)
+            .map(|e| format!("  dvh {e}\n"))
+            .collect(),
+    };
+    match lines.is_empty() {
+        true => USAGE.to_string(),
+        false => format!("USAGE:\n{lines}"),
     }
 }
 
@@ -332,200 +424,103 @@ impl<'a> Opts<'a> {
 /// # Errors
 ///
 /// Returns [`ParseError`] for unknown subcommands, flags, or values.
-pub fn parse(args: &[String]) -> Result<Command, ParseError> {
-    let Some(cmd) = args.first() else {
+pub fn parse(argv: &[String]) -> Result<Command, ParseError> {
+    if argv.is_empty() || argv[0] == "--help" || argv[0] == "-h" {
         return Ok(Command::Help);
-    };
-    let opts = Opts { rest: &args[1..] };
-    match cmd.as_str() {
-        "micro" => Ok(Command::Micro {
-            level: opts.usize_of("--level", 2)?,
-            config: opts.config()?,
-            iters: opts.u32_of("--iters", 10)?,
-            csv: opts.has("--csv"),
-        }),
-        "app" => {
-            let name = opts
-                .value_of("--name")
-                .ok_or_else(|| ParseError("app requires --name <benchmark>".into()))?;
-            Ok(Command::App {
-                app: parse_app(name)?,
-                level: opts.usize_of("--level", 2)?,
-                config: opts.config()?,
-                runs: opts.u32_of("--runs", 3)?,
-                txns: opts.u32_of("--txns", 400)?,
-                csv: opts.has("--csv"),
-            })
-        }
-        "apps" => Ok(Command::Apps {
-            level: opts.usize_of("--level", 2)?,
-            config: opts.config()?,
-            txns: opts.u32_of("--txns", 400)?,
-            csv: opts.has("--csv"),
-        }),
-        "migrate" => Ok(Command::Migrate {
-            config: opts.config()?,
-            with_hypervisor: opts.has("--with-hypervisor"),
-        }),
-        "results" => Ok(Command::Results {
-            files: args[1..].to_vec(),
-        }),
-        "trace" => Ok(Command::Trace {
-            op: opts.value_of("--op").unwrap_or("timer").to_string(),
-            app: opts.value_of("--app").map(parse_app).transpose()?,
-            txns: opts.u32_of("--txns", 40)?,
-            level: opts.usize_of("--level", 2)?,
-            config: opts.config()?,
-            format: match opts.value_of("--format") {
-                None => TraceFormat::Text,
-                Some(v) => TraceFormat::parse(v)?,
-            },
-        }),
-        "profile" => Ok(Command::Profile {
-            op: opts.value_of("--op").unwrap_or("timer").to_string(),
-            app: opts.value_of("--app").map(parse_app).transpose()?,
-            txns: opts.u32_of("--txns", 40)?,
-            level: opts.usize_of("--level", 2)?,
-            config: opts.config()?,
-            top: opts.usize_of("--top", 10)?,
-            snapshot: opts.has("--snapshot"),
-            format: match opts.value_of("--format") {
-                None => ProfileFormat::Table,
-                Some(v) => ProfileFormat::parse(v)?,
-            },
-        }),
-        "obs" => parse_obs(&args[1..]),
-        "explain" => Ok(Command::Explain {
-            op: opts.value_of("--op").unwrap_or("timer").to_string(),
-            level: opts.usize_of("--level", 2)?,
-            config: opts.config()?,
-        }),
-        "sweep" => {
-            let figure = opts.u32_of("--figure", 7)?;
-            if ![7, 8, 9, 10].contains(&figure) {
-                return Err(ParseError(format!(
-                    "no figure {figure} (expected 7|8|9|10)"
-                )));
-            }
-            Ok(Command::Sweep {
-                figure,
-                workers: opts.usize_of("--workers", 0)?,
-            })
-        }
-        "check" => {
-            // check gates CI, so unlike the exploratory subcommands it
-            // rejects anything it does not understand: a typo'd flag
-            // silently running the defaults would weaken the gate.
-            let rest = opts.rest;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--no-source" => i += 1,
-                    "--source-root" => {
-                        if rest.get(i + 1).is_none() {
-                            return Err(ParseError("--source-root expects a directory".into()));
-                        }
-                        i += 2;
-                    }
-                    other => {
-                        return Err(ParseError(format!(
-                            "unknown flag '{other}' for check (expected \
-                             [--source-root DIR] [--no-source])"
-                        )))
-                    }
-                }
-            }
-            Ok(Command::Check {
-                source_root: if opts.has("--no-source") {
-                    None
-                } else {
-                    Some(opts.value_of("--source-root").unwrap_or(".").to_string())
-                },
-            })
-        }
-        "help" | "--help" | "-h" => Ok(Command::Help),
-        other => Err(ParseError(format!("unknown command '{other}'"))),
     }
-}
-
-/// Parses the `obs` subcommand family: `obs snapshot` (exploratory,
-/// profile-style flags) and `obs diff` (a CI gate, so it strict-parses
-/// like `check` — a typo'd flag must fail, not silently run defaults).
-fn parse_obs(args: &[String]) -> Result<Command, ParseError> {
-    let Some(sub) = args.first() else {
-        return Err(ParseError(
-            "obs requires a subcommand (snapshot|diff)".into(),
-        ));
-    };
-    let opts = Opts { rest: &args[1..] };
-    match sub.as_str() {
-        "snapshot" => Ok(Command::ObsSnapshot {
-            op: opts.value_of("--op").unwrap_or("timer").to_string(),
-            app: opts.value_of("--app").map(parse_app).transpose()?,
-            txns: opts.u32_of("--txns", 40)?,
-            level: opts.usize_of("--level", 2)?,
-            config: opts.config()?,
-            out: opts.value_of("--out").map(str::to_string),
-            prom: opts.has("--prom"),
-        }),
-        "diff" => {
-            let rest = &args[1..];
-            let mut files: Vec<&str> = Vec::new();
-            let mut threshold = 0.25f64;
-            let mut json = false;
-            let mut i = 0;
-            while i < rest.len() {
-                match rest[i].as_str() {
-                    "--json" => {
-                        json = true;
-                        i += 1;
-                    }
-                    "--threshold" => {
-                        let v = rest
-                            .get(i + 1)
-                            .ok_or_else(|| ParseError("--threshold expects a percentage".into()))?;
-                        let pct: f64 = v.parse().map_err(|_| {
-                            ParseError(format!("--threshold expects a number, got '{v}'"))
-                        })?;
-                        if !(0.0..=1000.0).contains(&pct) {
-                            return Err(ParseError(format!(
-                                "--threshold {pct} out of range (percent, 0..=1000)"
-                            )));
-                        }
-                        threshold = pct / 100.0;
-                        i += 2;
-                    }
-                    flag if flag.starts_with('-') => {
-                        return Err(ParseError(format!(
-                            "unknown flag '{flag}' for obs diff (expected \
-                             <baseline.json> <current.json> [--threshold PCT] [--json])"
-                        )))
-                    }
-                    file => {
-                        files.push(file);
-                        i += 1;
-                    }
-                }
-            }
-            let [baseline, current] = files.as_slice() else {
+    let (entry, n) = lookup(argv)?;
+    let cmd = argv[..n].join(" ");
+    let a = Args::scan(&cmd, entry, &argv[n..])?;
+    Ok(match cmd.as_str() {
+        "micro" => Command::Micro {
+            level: a.num("--level", 2, 1..)?,
+            config: a.config()?,
+            iters: a.num("--iters", 10, 1..)?,
+            csv: a.has("--csv"),
+        },
+        "app" => Command::App {
+            app: a
+                .app("--name")?
+                .ok_or_else(|| ParseError("app requires --name <benchmark>".into()))?,
+            level: a.num("--level", 2, 1..)?,
+            config: a.config()?,
+            runs: a.num("--runs", 3, 1..)?,
+            txns: a.num("--txns", 400, 1..)?,
+            csv: a.has("--csv"),
+        },
+        "apps" => Command::Apps {
+            level: a.num("--level", 2, 1..)?,
+            config: a.config()?,
+            txns: a.num("--txns", 400, 1..)?,
+            csv: a.has("--csv"),
+        },
+        "migrate" => Command::Migrate {
+            config: a.config()?,
+            with_hypervisor: a.has("--with-hypervisor"),
+        },
+        "results" => Command::Results {
+            files: a.positionals.iter().map(|f| f.to_string()).collect(),
+        },
+        "explain" => Command::Explain {
+            op: a.value("--op").unwrap_or("timer").to_string(),
+            level: a.num("--level", 2, 1..)?,
+            config: a.config()?,
+        },
+        "sweep" => Command::Sweep {
+            figure: a.pick("--figure", &[("7", 7), ("8", 8), ("9", 9), ("10", 10)])?,
+            workers: a.num("--workers", 0, 0..)?,
+        },
+        "trace" => Command::Trace {
+            target: a.target()?,
+            format: a.pick(
+                "--format",
+                &[
+                    ("text", TraceFormat::Text),
+                    ("chrome", TraceFormat::Chrome),
+                    ("jsonl", TraceFormat::Jsonl),
+                ],
+            )?,
+        },
+        "profile" => Command::Profile {
+            target: a.target()?,
+            top: a.num("--top", 10, 0..)?,
+            snapshot: a.has("--snapshot"),
+            format: a.pick(
+                "--format",
+                &[
+                    ("table", ProfileFormat::Table),
+                    ("folded", ProfileFormat::Folded),
+                ],
+            )?,
+        },
+        "obs snapshot" => Command::ObsSnapshot {
+            target: a.target()?,
+            out: a.value("--out").map(str::to_string),
+            prom: a.has("--prom"),
+        },
+        "obs diff" => {
+            let [baseline, current] = a.positionals[..] else {
                 return Err(ParseError(
                     "obs diff requires exactly two files: <baseline.json> <current.json>".into(),
                 ));
             };
-            Ok(Command::ObsDiff {
+            Command::ObsDiff {
                 baseline: baseline.to_string(),
                 current: current.to_string(),
-                threshold,
-                json,
-            })
+                threshold: a.num("--threshold", 25.0, 0.0..=1000.0)? / 100.0,
+                json: a.has("--json"),
+            }
         }
-        other => Err(ParseError(format!(
-            "unknown obs subcommand '{other}' (expected snapshot|diff)"
-        ))),
-    }
+        "check" => Command::Check {
+            source_root: (!a.has("--no-source"))
+                .then(|| a.value("--source-root").unwrap_or(".").to_string()),
+        },
+        "help" => Command::Help,
+        other => unreachable!("USAGE entry '{other}' has no parser arm"),
+    })
 }
 
-/// The usage text.
+/// The usage text, and the grammar [`parse`] checks input against.
 pub const USAGE: &str = "\
 dvh — DVH nested-virtualization simulator (ASPLOS 2020 reproduction)
 
@@ -637,26 +632,24 @@ mod tests {
             "hackbench",
             "netperf-rr",
         ] {
-            assert!(parse_app(name).is_ok(), "{name}");
+            assert!(parse(&v(&["app", "--name", name])).is_ok(), "{name}");
         }
     }
 
     #[test]
     fn parse_trace_formats_and_targets() {
         match parse(&v(&["trace", "--format", "chrome", "--app", "rr"])).unwrap() {
-            Command::Trace {
-                format, app, txns, ..
-            } => {
+            Command::Trace { format, target } => {
                 assert_eq!(format, TraceFormat::Chrome);
-                assert_eq!(app, Some(dvh_workloads::AppId::NetperfRr));
-                assert_eq!(txns, 40);
+                assert_eq!(target.app, Some(dvh_workloads::AppId::NetperfRr));
+                assert_eq!(target.txns, 40);
             }
             other => panic!("{other:?}"),
         }
         match parse(&v(&["trace"])).unwrap() {
-            Command::Trace { format, app, .. } => {
+            Command::Trace { format, target } => {
                 assert_eq!(format, TraceFormat::Text);
-                assert_eq!(app, None);
+                assert_eq!(target.app, None);
             }
             other => panic!("{other:?}"),
         }
@@ -668,9 +661,12 @@ mod tests {
     fn parse_profile_defaults_and_flags() {
         match parse(&v(&["profile"])).unwrap() {
             Command::Profile {
-                op, top, snapshot, ..
+                target,
+                top,
+                snapshot,
+                ..
             } => {
-                assert_eq!(op, "timer");
+                assert_eq!(target.op, "timer");
                 assert_eq!(top, 10);
                 assert!(!snapshot);
             }
@@ -687,9 +683,12 @@ mod tests {
         .unwrap()
         {
             Command::Profile {
-                app, top, snapshot, ..
+                target,
+                top,
+                snapshot,
+                ..
             } => {
-                assert_eq!(app, Some(dvh_workloads::AppId::Apache));
+                assert_eq!(target.app, Some(dvh_workloads::AppId::Apache));
                 assert_eq!(top, 3);
                 assert!(snapshot);
             }
@@ -700,9 +699,9 @@ mod tests {
     #[test]
     fn parse_profile_formats() {
         match parse(&v(&["profile", "--format", "folded", "--app", "rr"])).unwrap() {
-            Command::Profile { format, app, .. } => {
+            Command::Profile { format, target, .. } => {
                 assert_eq!(format, ProfileFormat::Folded);
-                assert_eq!(app, Some(dvh_workloads::AppId::NetperfRr));
+                assert_eq!(target.app, Some(dvh_workloads::AppId::NetperfRr));
             }
             other => panic!("{other:?}"),
         }
@@ -727,15 +726,9 @@ mod tests {
         ]))
         .unwrap()
         {
-            Command::ObsSnapshot {
-                app,
-                txns,
-                out,
-                prom,
-                ..
-            } => {
-                assert_eq!(app, Some(dvh_workloads::AppId::NetperfRr));
-                assert_eq!(txns, 25);
+            Command::ObsSnapshot { target, out, prom } => {
+                assert_eq!(target.app, Some(dvh_workloads::AppId::NetperfRr));
+                assert_eq!(target.txns, 25);
                 assert_eq!(out.as_deref(), Some("snap.json"));
                 assert!(!prom);
             }
@@ -793,6 +786,33 @@ mod tests {
             "nope"
         ]))
         .is_err());
+    }
+
+    #[test]
+    fn documented_command_lines_parse() {
+        // Every `dvh` line the docs show: `-p dvh-cli -- ...` or
+        // `$ dvh ...`, joined across a trailing `\`, cut at `|` or `>`.
+        let mut checked = 0;
+        for doc in [include_str!("../../../README.md"), include_str!("lib.rs")] {
+            for line in doc.replace("\\\n", " ").lines() {
+                let line = line.trim_start_matches("//!").trim();
+                let Some(cmd) = line
+                    .split_once("-p dvh-cli --")
+                    .map(|(_, cmd)| cmd)
+                    .or_else(|| line.strip_prefix("$ dvh"))
+                else {
+                    continue;
+                };
+                let cmd = cmd.split(['|', '>']).next().unwrap_or_default();
+                let argv = v(&cmd.split_whitespace().collect::<Vec<_>>());
+                assert!(parse(&argv).is_ok(), "{line}: {:?}", parse(&argv));
+                checked += 1;
+            }
+        }
+        assert!(
+            checked >= 15,
+            "only {checked} documented command lines found"
+        );
     }
 
     #[test]

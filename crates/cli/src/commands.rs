@@ -1,6 +1,6 @@
 //! Command implementations for the `dvh` binary.
 
-use crate::args::{CliConfig, Command, ProfileFormat, TraceFormat};
+use crate::args::{Command, ProfileFormat, Target, TraceFormat};
 use crate::results::{to_csv, ResultFile};
 use dvh_core::Machine;
 use dvh_hypervisor::trace_export;
@@ -144,24 +144,10 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                 Err(e) => Err(format!("migration failed: {e}")),
             }
         }
-        Command::Trace {
-            op,
-            app,
-            txns,
-            level,
-            config,
-            format,
-        } => {
-            let mut m = Machine::build(config.machine_config(level));
+        Command::Trace { target, format } => {
+            let mut m = Machine::build(target.config.machine_config(target.level));
             m.world_mut().enable_tracing(1 << 20);
-            match app {
-                Some(app) => {
-                    run_app(&mut m, &app.mix(), txns);
-                }
-                None => {
-                    run_named_op(&mut m, &op)?;
-                }
-            }
+            run_target(&mut m, &target)?;
             let events = m.world_mut().take_trace();
             match format {
                 TraceFormat::Text => {
@@ -182,16 +168,12 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             }
         }
         Command::Profile {
-            op,
-            app,
-            txns,
-            level,
-            config,
+            target,
             top,
             snapshot,
             format,
         } => {
-            let obs = observe_workload(&op, app, txns, level, config)?;
+            let obs = observe_workload(&target)?;
             match format {
                 ProfileFormat::Folded => {
                     // Pure folded-stack lines, pipeable straight into a
@@ -225,19 +207,16 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             }
         }
         Command::ObsSnapshot {
-            op,
-            app,
-            txns,
-            level,
-            config,
+            target,
             out: out_path,
             prom,
         } => {
-            let workload = match app {
-                Some(a) => format!("{}@L{level}/{config}", a.mix().name),
-                None => format!("{op}@L{level}/{config}"),
+            let at = format!("@L{}/{}", target.level, target.config);
+            let workload = match target.app {
+                Some(a) => format!("{}{at}", a.mix().name),
+                None => format!("{}{at}", target.op),
             };
-            let obs = observe_workload(&op, app, txns, level, config)?;
+            let obs = observe_workload(&target)?;
             let text = if prom {
                 dvh_obs::prom::prometheus(&obs.reg)
             } else {
@@ -355,32 +334,13 @@ struct Observed {
     reg: dvh_obs::MetricsRegistry,
 }
 
-/// Runs the profile/obs-snapshot workload (one named op, or a full
-/// application benchmark) on a fresh machine with tracing and metrics
-/// on. Observability never advances simulated time, so the reported
-/// costs and overheads are identical to an unobserved run.
-fn observe_workload(
-    op: &str,
-    app: Option<AppId>,
-    txns: u32,
-    level: usize,
-    config: CliConfig,
-) -> Result<Observed, String> {
-    let mut m = Machine::build(config.machine_config(level));
+/// Runs `target` on a fresh machine with tracing and metrics on.
+/// Observability never advances simulated time, so the reported costs
+/// and overheads are identical to an unobserved run.
+fn observe_workload(target: &Target) -> Result<Observed, String> {
+    let mut m = Machine::build(target.config.machine_config(target.level));
     m.world_mut().enable_observability(1 << 20);
-    let header = match app {
-        Some(app) => {
-            let overhead = run_app(&mut m, &app.mix(), txns).overhead;
-            format!(
-                "{} at L{level} ({config}): overhead {overhead:.2}x vs native\n",
-                app.mix().name
-            )
-        }
-        None => {
-            let cost = run_named_op(&mut m, op)?;
-            format!("{op} at L{level} ({config}): {cost}\n")
-        }
-    };
+    let header = run_target(&mut m, target)?;
     m.world_mut().export_device_metrics();
     let events = m.world_mut().take_trace();
     let num_cpus = m.world().num_cpus();
@@ -390,6 +350,25 @@ fn observe_workload(
         events,
         num_cpus,
         reg,
+    })
+}
+
+/// Runs `target`'s application benchmark, or its operation when it
+/// names no application, and returns a one-line summary of the result.
+fn run_target(m: &mut Machine, target: &Target) -> Result<String, String> {
+    let (op, level, config) = (&target.op, target.level, target.config);
+    Ok(match target.app {
+        Some(app) => {
+            let overhead = run_app(m, &app.mix(), target.txns).overhead;
+            format!(
+                "{} at L{level} ({config}): overhead {overhead:.2}x vs native\n",
+                app.mix().name
+            )
+        }
+        None => {
+            let cost = run_named_op(m, op)?;
+            format!("{op} at L{level} ({config}): {cost}\n")
+        }
     })
 }
 
@@ -528,11 +507,13 @@ mod tests {
 
     fn trace_cmd(format: TraceFormat) -> Command {
         Command::Trace {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
+            target: Target {
+                op: "timer".into(),
+                app: None,
+                txns: 40,
+                level: 2,
+                config: CliConfig::Base,
+            },
             format,
         }
     }
@@ -565,11 +546,13 @@ mod tests {
     #[test]
     fn trace_app_runs_a_benchmark() {
         let out = execute_to_string(Command::Trace {
-            op: "timer".into(),
-            app: Some(AppId::NetperfRr),
-            txns: 5,
-            level: 2,
-            config: CliConfig::Base,
+            target: Target {
+                op: "timer".into(),
+                app: Some(AppId::NetperfRr),
+                txns: 5,
+                level: 2,
+                config: CliConfig::Base,
+            },
             format: TraceFormat::Text,
         })
         .unwrap();
@@ -579,11 +562,13 @@ mod tests {
     #[test]
     fn profile_op_shows_attribution_table() {
         let out = execute_to_string(Command::Profile {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
+            target: Target {
+                op: "timer".into(),
+                app: None,
+                txns: 40,
+                level: 2,
+                config: CliConfig::Base,
+            },
             top: 10,
             snapshot: false,
             format: ProfileFormat::Table,
@@ -601,11 +586,13 @@ mod tests {
     #[test]
     fn profile_folded_is_flamegraph_ready() {
         let out = execute_to_string(Command::Profile {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
+            target: Target {
+                op: "timer".into(),
+                app: None,
+                txns: 40,
+                level: 2,
+                config: CliConfig::Base,
+            },
             top: 10,
             snapshot: false,
             format: ProfileFormat::Folded,
@@ -629,11 +616,13 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("snap.json");
         let snap_cmd = || Command::ObsSnapshot {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
+            target: Target {
+                op: "timer".into(),
+                app: None,
+                txns: 40,
+                level: 2,
+                config: CliConfig::Base,
+            },
             out: Some(path.to_string_lossy().into_owned()),
             prom: false,
         };
@@ -659,11 +648,13 @@ mod tests {
     #[test]
     fn obs_snapshot_prom_exports_histograms() {
         let out = execute_to_string(Command::ObsSnapshot {
-            op: "timer".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
+            target: Target {
+                op: "timer".into(),
+                app: None,
+                txns: 40,
+                level: 2,
+                config: CliConfig::Base,
+            },
             out: None,
             prom: true,
         })
@@ -687,11 +678,13 @@ mod tests {
     fn profile_app_with_snapshot_is_deterministic() {
         let run = || {
             execute_to_string(Command::Profile {
-                op: "timer".into(),
-                app: Some(AppId::NetperfRr),
-                txns: 10,
-                level: 2,
-                config: CliConfig::Dvh,
+                target: Target {
+                    op: "timer".into(),
+                    app: Some(AppId::NetperfRr),
+                    txns: 10,
+                    level: 2,
+                    config: CliConfig::Dvh,
+                },
                 top: 5,
                 snapshot: true,
                 format: ProfileFormat::Table,
@@ -707,11 +700,13 @@ mod tests {
     #[test]
     fn profile_rejects_unknown_op() {
         assert!(execute_to_string(Command::Profile {
-            op: "frob".into(),
-            app: None,
-            txns: 40,
-            level: 2,
-            config: CliConfig::Base,
+            target: Target {
+                op: "frob".into(),
+                app: None,
+                txns: 40,
+                level: 2,
+                config: CliConfig::Base,
+            },
             top: 10,
             snapshot: false,
             format: ProfileFormat::Table,

@@ -11,11 +11,11 @@
 //! The `dvh` binary reproduces that flow against the simulator:
 //!
 //! ```text
-//! dvh micro   --level 2 --config dvh --iters 10
-//! dvh app     --name apache --level 2 --config base --runs 3
-//! dvh apps    --level 2 --config dvh-vp --csv
-//! dvh migrate --config dvh --with-hypervisor
-//! dvh results <csv...>
+//! $ dvh micro   --level 2 --config dvh --iters 10
+//! $ dvh app     --name apache --level 2 --config base --runs 3
+//! $ dvh apps    --level 2 --config dvh-vp --csv
+//! $ dvh migrate --config dvh --with-hypervisor
+//! $ dvh results <csv...>
 //! ```
 
 #![forbid(unsafe_code)]
@@ -25,4 +25,4 @@ pub mod args;
 pub mod commands;
 pub mod results;
 
-pub use args::{CliConfig, Command, ParseError};
+pub use args::{CliConfig, Command, ParseError, Target};

@@ -9,7 +9,7 @@ fn main() {
         Ok(c) => c,
         Err(e) => {
             eprintln!("error: {e}");
-            eprintln!("{}", args::USAGE);
+            eprint!("{}", args::usage_of(&argv));
             std::process::exit(2);
         }
     };

@@ -46,12 +46,13 @@ impl AppId {
     ];
 
     /// Parses a CLI application name (`rr`, `stream`, `maerts`,
-    /// `apache`, `memcached`, `mysql`, `hackbench`).
+    /// `apache`, `memcached`, `mysql`, `hackbench`, or `netperf-rr`,
+    /// `netperf-stream`, `netperf-maerts`), ignoring ASCII case.
     pub fn parse(name: &str) -> Option<AppId> {
-        Some(match name {
-            "rr" => AppId::NetperfRr,
-            "stream" => AppId::NetperfStream,
-            "maerts" => AppId::NetperfMaerts,
+        Some(match name.to_ascii_lowercase().as_str() {
+            "rr" | "netperf-rr" => AppId::NetperfRr,
+            "stream" | "netperf-stream" => AppId::NetperfStream,
+            "maerts" | "netperf-maerts" => AppId::NetperfMaerts,
             "apache" => AppId::Apache,
             "memcached" => AppId::Memcached,
             "mysql" => AppId::Mysql,
@@ -259,6 +260,16 @@ mod tests {
     fn cli_names_round_trip() {
         for app in AppId::ALL {
             assert_eq!(AppId::parse(app.cli_name()), Some(app));
+        }
+        for (name, app) in [
+            ("netperf-rr", AppId::NetperfRr),
+            ("netperf-stream", AppId::NetperfStream),
+            ("netperf-maerts", AppId::NetperfMaerts),
+            ("Apache", AppId::Apache),
+            ("NETPERF-RR", AppId::NetperfRr),
+            ("MySQL", AppId::Mysql),
+        ] {
+            assert_eq!(AppId::parse(name), Some(app), "{name}");
         }
         assert_eq!(AppId::parse("no-such-app"), None);
     }
