@@ -20,6 +20,5 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod engine;
 pub mod harness;
 pub mod parallel;

@@ -23,10 +23,10 @@
 //!   from its own text output, sums per root frame to the same root
 //!   totals — what a flamegraph viewer would display conserves too.
 
+use crate::conservation::{drift, frames, ledger_frames, FrameTotals};
 use crate::{Pass, Violation};
 use dvh_hypervisor::{RunStats, TraceEvent};
 use dvh_obs::causal::{CausalNode, Forest};
-use std::collections::BTreeMap;
 
 fn violation(rule: &'static str, location: String, detail: String) -> Violation {
     Violation {
@@ -72,37 +72,10 @@ pub fn lint_causal(
         ));
     }
 
-    let roots = forest.root_cycle_totals();
-    let ledger = &stats.cycles_by_reason;
-    for ((level, reason), cycles) in ledger {
-        match roots.get(&(*level, *reason)) {
-            None => out.push(violation(
-                "causal-roots-conserved",
-                format!("L{level} {reason}"),
-                format!(
-                    "ledger attributes {} cycles but the forest has no root",
-                    cycles.as_u64()
-                ),
-            )),
-            Some(got) if *got != cycles.as_u64() => out.push(violation(
-                "causal-roots-conserved",
-                format!("L{level} {reason}"),
-                format!(
-                    "root spans sum to {got} cycles, ledger says {}",
-                    cycles.as_u64()
-                ),
-            )),
-            Some(_) => {}
-        }
-    }
-    for ((level, reason), got) in &roots {
-        if !ledger.contains_key(&(*level, *reason)) {
-            out.push(violation(
-                "causal-roots-conserved",
-                format!("L{level} {reason}"),
-                format!("forest has {got} root cycles for a key the ledger never attributed"),
-            ));
-        }
+    let roots = frames(forest.root_cycle_totals());
+    for d in drift(&roots, &ledger_frames(stats)) {
+        let detail = d.describe("root spans", "ledger");
+        out.push(violation("causal-roots-conserved", d.frame, detail));
     }
 
     let total = forest.total_exits();
@@ -171,7 +144,7 @@ fn check_node(node: &CausalNode, cpu: usize, out: &mut Vec<Violation>) {
 /// sums equal the forest's root totals.
 fn lint_folded(forest: &Forest) -> Vec<Violation> {
     let mut out = Vec::new();
-    let mut by_root: BTreeMap<String, u64> = BTreeMap::new();
+    let mut by_root = FrameTotals::new();
     for line in forest.folded().lines() {
         let Some((path, cycles)) = line.rsplit_once(' ') else {
             out.push(violation(
@@ -192,16 +165,9 @@ fn lint_folded(forest: &Forest) -> Vec<Violation> {
         let root = path.split(';').next().unwrap_or(path).to_string();
         *by_root.entry(root).or_insert(0) += cycles;
     }
-    for ((level, reason), cycles) in forest.root_cycle_totals() {
-        let frame = format!("L{level} {reason}");
-        let got = by_root.get(&frame).copied().unwrap_or(0);
-        if got != cycles {
-            out.push(violation(
-                "folded-conserved",
-                frame,
-                format!("folded lines sum to {got} cycles, root totals say {cycles}"),
-            ));
-        }
+    for d in drift(&by_root, &frames(forest.root_cycle_totals())) {
+        let detail = d.describe("folded lines", "root totals");
+        out.push(violation("folded-conserved", d.frame, detail));
     }
     out
 }
@@ -244,15 +210,11 @@ mod tests {
         let mut m = traced_machine();
         let w = m.world_mut();
         let mut stats = w.stats.clone();
-        let ((level, reason), _) = stats
-            .cycles_by_reason
-            .iter()
-            .next()
-            .map(|(k, v)| (*k, *v))
-            .expect("some exits");
+        let ((level, reason), _) = stats.cycles_by_reason.iter().next().expect("some exits");
+        // One outermost exit the trace never saw.
         stats
             .cycles_by_reason
-            .insert((level, reason), dvh_arch::Cycles::new(1));
+            .record(level, reason, dvh_arch::Cycles::new(1));
         let violations = lint_causal(w.trace_events(), w.num_cpus(), w.trace_dropped(), &stats);
         assert!(
             violations

@@ -181,12 +181,13 @@ pub fn check_machine(config: MachineConfig) -> Vec<Violation> {
         w.enable_tracing(TRACE_CAPACITY);
         w.enable_metrics();
         w.enable_vmentry_checks();
-        // Stats, trace, and metrics must cover the same window for
-        // cycle conservation to be exact.
+        // Stats and trace must cover the same window for cycle
+        // conservation to be exact.
         w.reset_stats();
     }
     exercise(&mut m);
     let w = m.world_mut();
+    w.export_device_metrics();
     let mut out = crate::vmentry::check_world(w);
     let ctx = TraceContext::for_world(w);
     out.extend(lint_trace(w.trace_events(), &ctx));

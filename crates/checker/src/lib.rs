@@ -22,13 +22,10 @@
 //!    `debug_assert!` in exit-path code, raw VMCS container indexing
 //!    that bypasses the tracked accessors, and unchecked level-keyed
 //!    indexing in hypervisor dispatch paths.
-//! 4. **Metrics conservation** ([`metrics_lint`]): certifies the
-//!    dvh-obs observability layer against the engine's own ledgers —
-//!    the registry's per-(level, reason) exit cycle totals must equal
-//!    [`dvh_hypervisor::RunStats::cycles_by_reason`] key for key in
-//!    both directions, every histogram must be internally consistent,
-//!    and the serialized Chrome trace export must round-trip with
-//!    outermost span durations summing to the same ledger.
+//! 4. **Metrics certification** ([`metrics_lint`]): every histogram
+//!    must be internally consistent, and the serialized Chrome trace
+//!    export must round-trip with outermost span durations summing to
+//!    [`dvh_hypervisor::RunStats::cycles_by_reason`].
 //! 5. **Causal conservation** ([`causal_lint`]): certifies the
 //!    causality layer (`dvh_obs::causal`) that rebuilds each outermost
 //!    exit's tree of nested traps — root spans must reproduce the
@@ -37,6 +34,9 @@
 //!    must hold exactly one node per counted hardware exit, and the
 //!    folded flamegraph text must re-parse to the same totals.
 //!
+//! Every per-(level, reason) comparison against the ledger goes
+//! through [`conservation`].
+//!
 //! The [`harness`] module ties the first two passes to representative
 //! workloads (the paper's Fig. 7 configurations) for `dvh check`.
 
@@ -44,6 +44,7 @@
 #![warn(missing_docs)]
 
 pub mod causal_lint;
+pub mod conservation;
 pub mod harness;
 pub mod metrics_lint;
 pub mod source_lint;

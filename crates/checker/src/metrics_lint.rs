@@ -1,15 +1,11 @@
-//! The metrics-conservation pass: certifies the dvh-obs observability
-//! layer against the exit engine's own accounting.
+//! The metrics pass: certifies the dvh-obs observability layer
+//! against the exit engine's own accounting.
 //!
-//! The observability layer records a *parallel* ledger — every
-//! `attribute_cycles` call in the engine has a metrics twin
-//! (`observe_exit`), and the Chrome trace export re-derives the same
-//! totals a third way from serialized spans. This pass proves all
-//! three agree, key for key:
+//! The registry's engine series (`exit_cycles`, `intervention_cycles`,
+//! `dvh_intercepts`, `irq_wake_idle_cycles`) are an export of
+//! [`RunStats`], not a second record, so there is no registry-to-ledger
+//! comparison to make. What remains to certify:
 //!
-//! - `exit-cycles-conserved`: the registry's per-(level, reason) exit
-//!   cycle totals equal [`RunStats::cycles_by_reason`] in both
-//!   directions — no missing keys, no phantom keys, no drift.
 //! - `histogram-consistent`: every histogram's bucket counts sum to
 //!   its observation count (the invariant `Histogram::is_consistent`
 //!   encodes).
@@ -21,57 +17,18 @@
 //! A violation here means the observability layer is lying about where
 //! cycles went — the one failure mode a profiling tool must not have.
 
+use crate::conservation::{drift, frames, ledger_frames};
 use crate::{Pass, Violation};
 use dvh_hypervisor::trace_export::{chrome_json, chrome_outermost_totals};
 use dvh_hypervisor::{RunStats, TraceEvent};
 use dvh_obs::json;
 use dvh_obs::MetricsRegistry;
 
-/// Checks the registry's exit cycle totals against the engine ledger
-/// (both directions) and every histogram's internal consistency.
-pub fn lint_metrics(reg: &MetricsRegistry, stats: &RunStats) -> Vec<Violation> {
+/// Checks every histogram's internal consistency. The ledger argument
+/// is what the registry was exported from; nothing is compared against
+/// it.
+pub fn lint_metrics(reg: &MetricsRegistry, _stats: &RunStats) -> Vec<Violation> {
     let mut out = Vec::new();
-    let observed = reg.exit_cycle_totals();
-    let ledger = &stats.cycles_by_reason;
-
-    for ((level, reason), cycles) in ledger {
-        match observed.get(&(*level, *reason)) {
-            None => out.push(Violation {
-                pass: Pass::Metrics,
-                rule: "exit-cycles-conserved",
-                location: format!("L{level} {reason}"),
-                detail: format!(
-                    "ledger attributes {} cycles but the metrics registry has no entry",
-                    cycles.as_u64()
-                ),
-            }),
-            Some(got) if got != cycles => out.push(Violation {
-                pass: Pass::Metrics,
-                rule: "exit-cycles-conserved",
-                location: format!("L{level} {reason}"),
-                detail: format!(
-                    "metrics registry has {} cycles, ledger says {}",
-                    got.as_u64(),
-                    cycles.as_u64()
-                ),
-            }),
-            Some(_) => {}
-        }
-    }
-    for ((level, reason), cycles) in &observed {
-        if !ledger.contains_key(&(*level, *reason)) {
-            out.push(Violation {
-                pass: Pass::Metrics,
-                rule: "exit-cycles-conserved",
-                location: format!("L{level} {reason}"),
-                detail: format!(
-                    "metrics registry has {} cycles for a key the ledger never attributed",
-                    cycles.as_u64()
-                ),
-            });
-        }
-    }
-
     for (key, h) in reg.histograms() {
         if !h.is_consistent() {
             out.push(Violation {
@@ -122,35 +79,22 @@ pub fn lint_chrome_export(
         });
     }
 
-    let from_json = chrome_outermost_totals(&doc);
-    let ledger = &stats.cycles_by_reason;
-    for ((level, reason), cycles) in ledger {
-        let got = from_json
-            .get(&(*level, reason.to_string()))
-            .copied()
-            .unwrap_or(0);
-        if got != cycles.as_u64() {
-            out.push(Violation {
-                pass: Pass::Metrics,
-                rule: "chrome-spans-conserved",
-                location: format!("L{level} {reason}"),
-                detail: format!(
-                    "outermost chrome spans sum to {got} cycles, ledger says {}",
-                    cycles.as_u64()
-                ),
-            });
-        }
-    }
-    if from_json.len() != ledger.len() {
+    let spans = frames(chrome_outermost_totals(&doc));
+    for d in drift(&spans, &ledger_frames(stats)) {
+        let detail = d.describe("outermost chrome spans", "ledger");
+        // A span group the ledger lacks faults the export as a whole.
+        let (location, detail) = match d.reference {
+            None => (
+                "chrome export".to_string(),
+                format!("{}: {detail}", d.frame),
+            ),
+            Some(_) => (d.frame, detail),
+        };
         out.push(Violation {
             pass: Pass::Metrics,
             rule: "chrome-spans-conserved",
-            location: "chrome export".into(),
-            detail: format!(
-                "export has {} (level, reason) span groups, ledger has {}",
-                from_json.len(),
-                ledger.len()
-            ),
+            location,
+            detail,
         });
     }
     out
@@ -181,6 +125,7 @@ mod tests {
     fn clean_run_has_no_metrics_violations() {
         let mut m = observed_machine();
         let w = m.world_mut();
+        w.export_device_metrics();
         let reg = w.metrics().expect("metrics enabled");
         assert!(lint_metrics(reg, &w.stats).is_empty());
         let violations =
@@ -189,33 +134,23 @@ mod tests {
     }
 
     #[test]
-    fn tampered_registry_is_caught_both_directions() {
+    fn tampered_ledger_breaks_chrome_span_conservation() {
         let mut m = observed_machine();
         let w = m.world_mut();
-        let stats = w.stats.clone();
-        let mut reg = w.take_metrics().expect("metrics enabled");
-        // A phantom key the ledger never attributed...
-        reg.observe_exit(3, ExitReason::Hlt, Cycles::new(7));
-        let phantom = lint_metrics(&reg, &stats);
-        assert!(phantom.iter().any(|v| v.pass == Pass::Metrics
-            && v.rule == "exit-cycles-conserved"
-            && v.detail.contains("never attributed")));
-        // ...and drift on a key both sides know about.
+        let mut stats = w.stats.clone();
+        // One outermost exit the trace never saw, on a key it has...
         let ((level, reason), _) = stats.cycles_by_reason.iter().next().expect("some exits");
-        reg.observe_exit(*level, *reason, Cycles::new(1));
-        let drifted = lint_metrics(&reg, &stats);
-        assert!(drifted.len() > phantom.len());
-    }
-
-    #[test]
-    fn missing_ledger_key_is_caught() {
-        let mut m = observed_machine();
-        let w = m.world_mut();
-        let reg = MetricsRegistry::new();
-        let violations = lint_metrics(&reg, &w.stats);
-        assert!(!violations.is_empty());
-        assert!(violations
+        stats.cycles_by_reason.record(level, reason, Cycles::new(1));
+        // ...and one on a key it lacks.
+        stats.attribute_cycles(3, ExitReason::Hlt, Cycles::new(7));
+        let violations = lint_chrome_export(w.trace_events(), w.num_cpus(), w.leaf_level(), &stats);
+        let locations: Vec<&str> = violations
             .iter()
-            .all(|v| v.rule == "exit-cycles-conserved" && v.detail.contains("no entry")));
+            .filter(|v| v.rule == "chrome-spans-conserved")
+            .map(|v| v.location.as_str())
+            .collect();
+        assert_eq!(locations.len(), 2, "{violations:?}");
+        assert!(locations.contains(&"L3 Hlt"), "{violations:?}");
+        assert!(locations.contains(&format!("L{level} {reason}").as_str()));
     }
 }

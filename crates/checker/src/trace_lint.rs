@@ -31,9 +31,11 @@
 //!   reflection of the same exit (DVH handled it; reflecting too would
 //!   double-charge the guest hypervisor).
 
+use crate::conservation::{drift, frames, ledger_frames};
 use crate::{Pass, Violation};
 use dvh_arch::vmx::{ExitReason, ShadowFieldSet};
 use dvh_arch::Cycles;
+use dvh_hypervisor::trace_export::span_cycle_totals;
 use dvh_hypervisor::{RunStats, TraceEvent, World};
 use std::collections::BTreeMap;
 
@@ -105,7 +107,6 @@ pub fn lint_trace(events: &[TraceEvent], ctx: &TraceContext) -> Vec<Violation> {
     }
 
     let mut cpus: BTreeMap<usize, CpuState> = BTreeMap::new();
-    let mut attributed: BTreeMap<(usize, ExitReason), Cycles> = BTreeMap::new();
 
     for (idx, e) in events.iter().enumerate() {
         let st = cpus.entry(e.cpu()).or_default();
@@ -204,9 +205,6 @@ pub fn lint_trace(events: &[TraceEvent], ctx: &TraceContext) -> Vec<Violation> {
                 // exit its handling caused.
                 st.stack.clear();
                 st.last_was_dvh = false;
-                *attributed
-                    .entry((*from_level, *reason))
-                    .or_insert(Cycles::ZERO) += *spent;
             }
             TraceEvent::Returned {
                 from_level, reason, ..
@@ -298,26 +296,16 @@ pub fn lint_trace(events: &[TraceEvent], ctx: &TraceContext) -> Vec<Violation> {
     }
 
     if let Some(stats) = ctx.stats {
-        if attributed != stats.cycles_by_reason {
-            let keys: std::collections::BTreeSet<_> = attributed
-                .keys()
-                .chain(stats.cycles_by_reason.keys())
-                .collect();
-            let diffs: Vec<String> = keys
+        let trace = frames(
+            span_cycle_totals(events)
                 .into_iter()
-                .filter(|k| attributed.get(k) != stats.cycles_by_reason.get(k))
-                .map(|(l, r)| {
-                    format!(
-                        "(L{l}, {r}): trace {} vs ledger {}",
-                        attributed.get(&(*l, *r)).copied().unwrap_or(Cycles::ZERO),
-                        stats
-                            .cycles_by_reason
-                            .get(&(*l, *r))
-                            .copied()
-                            .unwrap_or(Cycles::ZERO),
-                    )
-                })
-                .collect();
+                .map(|(k, c)| (k, c.as_u64())),
+        );
+        let diffs: Vec<String> = drift(&trace, &ledger_frames(stats))
+            .iter()
+            .map(|d| format!("({}) {}", d.frame, d.describe("trace", "ledger")))
+            .collect();
+        if !diffs.is_empty() {
             out.push(Violation {
                 pass: Pass::Trace,
                 rule: "cycle-conservation",

@@ -145,26 +145,22 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
             }
         }
         Command::Trace { target, format } => {
-            let mut m = Machine::build(target.config.machine_config(target.level));
-            m.world_mut().enable_tracing(1 << 20);
-            run_target(&mut m, &target)?;
-            let events = m.world_mut().take_trace();
+            let obs = observe_workload(&target)?;
             match format {
                 TraceFormat::Text => {
-                    for e in &events {
+                    for e in &obs.events {
                         w(out, format!("{e}\n"))?;
                     }
                     Ok(())
                 }
                 TraceFormat::Chrome => {
-                    let world = m.world();
                     w(
                         out,
-                        trace_export::chrome_json(&events, world.num_cpus(), world.leaf_level()),
+                        trace_export::chrome_json(&obs.events, obs.num_cpus, target.level),
                     )?;
                     w(out, "\n".to_string())
                 }
-                TraceFormat::Jsonl => w(out, trace_export::jsonl(&events)),
+                TraceFormat::Jsonl => w(out, trace_export::jsonl(&obs.events)),
             }
         }
         Command::Profile {
@@ -192,9 +188,13 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
                     let forest = trace_export::causal_forest(&obs.events, obs.num_cpus);
                     let factors = forest.multiplication_factors();
                     if !factors.is_empty() {
+                        let partial = match obs.dropped {
+                            0 => String::new(),
+                            n => format!(" (partial: {n} events dropped)"),
+                        };
                         w(
                             out,
-                            "\nexit multiplication (from the causal tree):\n".to_string(),
+                            format!("\nexit multiplication (from the causal tree){partial}:\n"),
                         )?;
                         w(out, render_multiplication(&factors))?;
                     }
@@ -325,11 +325,13 @@ pub fn execute(cmd: Command, out: &mut dyn std::io::Write) -> Result<(), String>
 }
 
 /// A workload run with the full observability stack armed: the trace
-/// events, the metrics registry (device metrics exported), and a
-/// one-line header describing what ran.
+/// events (and how many the ring dropped), the metrics registry (engine
+/// and device series exported), and a one-line header describing what
+/// ran.
 struct Observed {
     header: String,
     events: Vec<dvh_hypervisor::TraceEvent>,
+    dropped: u64,
     num_cpus: usize,
     reg: dvh_obs::MetricsRegistry,
 }
@@ -341,13 +343,22 @@ fn observe_workload(target: &Target) -> Result<Observed, String> {
     let mut m = Machine::build(target.config.machine_config(target.level));
     m.world_mut().enable_observability(1 << 20);
     let header = run_target(&mut m, target)?;
-    m.world_mut().export_device_metrics();
+    // Everything rebuilt from the trace (causal trees, folded stacks,
+    // nested spans) covers only the newest events once the ring wraps;
+    // ledger-backed tables stay exact.
+    let dropped = m.world().trace_dropped();
+    if dropped > 0 {
+        eprintln!(
+            "warning: trace ring wrapped: {dropped} events dropped; causal views are partial"
+        );
+    }
     let events = m.world_mut().take_trace();
     let num_cpus = m.world().num_cpus();
     let reg = m.world_mut().take_metrics().unwrap_or_default();
     Ok(Observed {
         header,
         events,
+        dropped,
         num_cpus,
         reg,
     })

@@ -50,7 +50,7 @@ pub fn explain(w: &World) -> Report {
         .stats
         .cycles_by_reason
         .iter()
-        .map(|(&(level, reason), &total)| CostLine {
+        .map(|((level, reason), total)| CostLine {
             level,
             reason,
             count: w.stats.exits_with(level, reason),

@@ -57,9 +57,6 @@ impl World {
         if let Some(t0) = t0 {
             let spent = self.now(cpu) - t0;
             self.stats.attribute_cycles(from_level, reason, spent);
-            // The metrics twin of the ledger line above; the checker's
-            // metrics pass proves the two stay equal.
-            self.observe(|m| m.observe_exit(from_level, reason, spent));
             self.trace(|w| crate::trace::TraceEvent::Completed {
                 at: w.now(cpu),
                 cpu,
@@ -142,7 +139,6 @@ impl World {
             self.extensions = exts;
             if let Some(name) = handled {
                 self.stats.record_dvh(name);
-                self.observe(|m| m.record_dvh(name));
                 self.trace(|w| crate::trace::TraceEvent::DvhIntercept {
                     at: w.now(cpu),
                     cpu,
@@ -356,7 +352,6 @@ impl World {
             owner >= 1,
             "cannot reflect an exit to L0 (owner must be >= 1)"
         );
-        self.stats.record_intervention(owner);
         self.trace(|w| crate::trace::TraceEvent::Intervention {
             at: w.now(cpu),
             cpu,
@@ -364,13 +359,8 @@ impl World {
             reason,
         });
         // Intervention latency spans the whole delivery: forwarding
-        // chain, owner handler, and resume. Reading the clock twice is
-        // gated so the disabled path stays a single branch.
-        let obs_t0 = if self.metrics_on {
-            Some(self.now(cpu))
-        } else {
-            None
-        };
+        // chain, owner handler, and resume.
+        let t0 = self.now(cpu);
 
         // L0's native reflect step: decide the exit is not ours, build
         // the synthetic exit state in vmcs12, switch to vmcs01, enter L1.
@@ -407,10 +397,8 @@ impl World {
             self.entry_side_program(owner, cpu);
             self.vmresume_insn(owner, cpu);
         }
-        if let Some(t0) = obs_t0 {
-            let spent = self.now(cpu) - t0;
-            self.observe(|m| m.observe_intervention(owner, spent));
-        }
+        let spent = self.now(cpu) - t0;
+        self.stats.interventions.record(owner, spent);
     }
 
     /// Writes synthetic exit state into the VMCS the hypervisor at

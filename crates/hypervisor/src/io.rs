@@ -252,7 +252,7 @@ impl World {
     fn relay_irq_for_blk(&mut self, cpu: usize) {
         let n = self.config.levels;
         for j in 1..n {
-            self.stats.record_intervention(j);
+            self.stats.interventions.record_relay(j);
             self.vmexit(
                 self.leaf_level(),
                 cpu,
@@ -535,7 +535,7 @@ impl World {
                     // Kick hypervisor j: the leaf is running on this
                     // CPU, so the interrupt exits and the chain runs
                     // hv j's RX softirq.
-                    self.stats.record_intervention(j);
+                    self.stats.interventions.record_relay(j);
                     self.vmexit(
                         self.leaf_level(),
                         dest,
@@ -617,7 +617,7 @@ impl World {
     fn relay_irq_through_chain(&mut self, dest: usize) {
         let n = self.config.levels;
         for j in 1..n {
-            self.stats.record_intervention(j);
+            self.stats.interventions.record_relay(j);
             self.vmexit(
                 self.leaf_level(),
                 dest,

@@ -119,16 +119,13 @@ impl World {
             // The span between halting and the wake event was spent in
             // a real low-power state — saved, not burned (§3.4).
             let idle_span = self.now(dest) - pre_sync;
-            self.stats.idle_cycles += idle_span;
+            self.stats.idle_cycles.observe(idle_span.as_u64());
             self.wake_chain(dest);
             for v in self.pi_desc[dest].drain() {
                 self.lapic[dest].accept(v);
             }
             self.leaf_service_interrupts(dest);
-            self.observe(|m| {
-                m.inc(MetricKey::tagged(names::IRQ_DELIVERIES, path_tag));
-                m.observe_cycles(MetricKey::plain(names::IRQ_WAKE_IDLE_CYCLES), idle_span);
-            });
+            self.observe(|m| m.inc(MetricKey::tagged(names::IRQ_DELIVERIES, path_tag)));
             self.trace(|w| crate::trace::TraceEvent::IrqDelivered {
                 at: w.now(dest),
                 cpu: dest,
@@ -249,7 +246,7 @@ impl World {
             // runs: hrtimer callback, raise guest timer interrupt,
             // re-enter — a full intervention per level.
             for j in 1..n {
-                self.stats.record_intervention(j);
+                self.stats.interventions.record_relay(j);
                 self.exit_side_program(j, cpu);
                 self.compute(cpu, self.costs.hrtimer_program);
                 self.compute(cpu, self.costs.event_injection);

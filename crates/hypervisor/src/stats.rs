@@ -1,176 +1,215 @@
-//! Run statistics: exit counts by level and reason, interventions,
-//! cycle accounting.
+//! Run statistics: the one record the exit engine keeps of exits,
+//! interventions, DVH intercepts and cycle attribution; the metrics
+//! registry's engine series are an export of it, never a second copy.
 
 use dvh_arch::vmx::ExitReason;
 use dvh_arch::Cycles;
+use dvh_obs::metrics::{names, MetricKey};
+use dvh_obs::{Histogram, MetricsRegistry};
 use std::collections::BTreeMap;
 use std::fmt;
 
-/// One row per level in [`ExitLedger`]: a slot for every basic exit
-/// reason number (the largest architectural discriminant we model is
-/// [`ExitReason::ApicWrite`] = 56).
+/// One row per level in a per-reason [`Ledger`]: a slot for every
+/// basic exit reason number (the largest architectural discriminant we
+/// model is [`ExitReason::ApicWrite`] = 56).
 const REASON_SLOTS: usize = 57;
 
-/// Dense per-(level, reason) exit counters.
-///
-/// `record` is on the engine's innermost path (once per simulated
-/// hardware exit), so the ledger is a flat `Vec` indexed by
-/// `level * REASON_SLOTS + reason.number()` instead of an ordered map.
-/// Iteration yields only touched entries, sorted by `(level, reason)`
-/// exactly like the `BTreeMap<(usize, ExitReason), u64>` it replaced:
-/// `ExitReason`'s derived `Ord` compares discriminants, which are the
-/// reason numbers the row is indexed by.
+/// A dense ledger of `T` cells, grown `ROW` cells at a time on first
+/// use: what the engine writes on its exit path, a flat `Vec` instead
+/// of an ordered map. Per-reason ledgers index it by
+/// `level * REASON_SLOTS + reason.number()`, so touched cells (those
+/// differing from `T::default()`) iterate in `(level, reason)` order,
+/// exactly like the `BTreeMap` they replaced.
 #[derive(Debug, Clone, Default)]
-pub struct ExitLedger {
-    counts: Vec<u64>,
+pub struct Ledger<T, const ROW: usize> {
+    cells: Vec<T>,
 }
 
-impl ExitLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> ExitLedger {
-        ExitLedger::default()
-    }
+/// Hardware exit counts by (level, reason).
+pub type ExitLedger = Ledger<u64, REASON_SLOTS>;
 
-    /// Increments the counter for (`level`, `reason`), growing the
-    /// level rows on first use.
+/// Outermost exits by (level, reason): a cell's count is the exits,
+/// its sum the cycles attributed to them (nested traps included), its
+/// buckets their latency.
+pub type CycleLedger = Ledger<Histogram, REASON_SLOTS>;
+
+/// Guest-hypervisor interventions, indexed by the hypervisor's level.
+pub type InterventionLedger = Ledger<InterventionCell, 1>;
+
+impl<T: Default + Clone + PartialEq, const ROW: usize> Ledger<T, ROW> {
     #[inline(always)]
-    pub fn record(&mut self, level: usize, reason: ExitReason) {
-        let idx = level * REASON_SLOTS + reason.number() as usize;
-        if idx >= self.counts.len() {
-            self.counts.resize((level + 1) * REASON_SLOTS, 0);
+    fn at(&mut self, idx: usize) -> &mut T {
+        if idx >= self.cells.len() {
+            self.cells.resize((idx / ROW + 1) * ROW, T::default());
         }
-        self.counts[idx] += 1;
+        &mut self.cells[idx]
     }
 
-    /// The count for (`level`, `reason`).
-    pub fn get(&self, level: usize, reason: ExitReason) -> u64 {
-        self.counts
-            .get(level * REASON_SLOTS + reason.number() as usize)
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Sum over all levels and reasons.
-    pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
-    }
-
-    /// Sum over all reasons for one level.
-    pub fn level_total(&self, level: usize) -> u64 {
-        let start = (level * REASON_SLOTS).min(self.counts.len());
-        let end = ((level + 1) * REASON_SLOTS).min(self.counts.len());
-        self.counts[start..end].iter().sum()
+    fn touched(&self) -> impl Iterator<Item = (usize, &T)> + '_ {
+        let untouched = T::default();
+        self.cells
+            .iter()
+            .enumerate()
+            .filter(move |(_, c)| **c != untouched)
     }
 
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&n| n == 0)
+        self.touched().next().is_none()
+    }
+
+    fn merge_with(&mut self, other: &Self, add: impl Fn(&mut T, &T)) {
+        if self.cells.len() < other.cells.len() {
+            self.cells.resize(other.cells.len(), T::default());
+        }
+        for (dst, src) in self.cells.iter_mut().zip(other.cells.iter()) {
+            add(dst, src);
+        }
+    }
+}
+
+impl<T: Default + Clone + PartialEq, const ROW: usize> PartialEq for Ledger<T, ROW> {
+    fn eq(&self, other: &Self) -> bool {
+        // Trailing untouched rows are representation artifacts, not
+        // content; compare touched entries only.
+        self.touched().eq(other.touched())
+    }
+}
+
+impl<T: Default + Clone + Eq, const ROW: usize> Eq for Ledger<T, ROW> {}
+
+fn slot(level: usize, reason: ExitReason) -> usize {
+    level * REASON_SLOTS + reason.number() as usize
+}
+
+impl<T: Default + Clone + PartialEq> Ledger<T, REASON_SLOTS> {
+    fn get_cell(&self, level: usize, reason: ExitReason) -> Option<&T> {
+        self.cells.get(slot(level, reason))
+    }
+
+    /// Iterates touched `((level, reason), cell)` entries in
+    /// `(level, reason)` order.
+    pub fn cells(&self) -> impl Iterator<Item = ((usize, ExitReason), &T)> + '_ {
+        self.touched().map(|(idx, c)| {
+            let reason = ExitReason::from_number((idx % REASON_SLOTS) as u16)
+                .expect("ledger row holds only valid reason numbers");
+            ((idx / REASON_SLOTS, reason), c)
+        })
+    }
+}
+
+impl ExitLedger {
+    /// Increments the counter for (`level`, `reason`).
+    #[inline(always)]
+    pub fn record(&mut self, level: usize, reason: ExitReason) {
+        *self.at(slot(level, reason)) += 1;
+    }
+
+    /// The count for (`level`, `reason`).
+    pub fn get(&self, level: usize, reason: ExitReason) -> u64 {
+        self.get_cell(level, reason).copied().unwrap_or(0)
+    }
+
+    /// Sum over all levels and reasons.
+    pub fn total(&self) -> u64 {
+        self.cells.iter().sum()
     }
 
     /// Iterates touched `((level, reason), count)` entries in
     /// `(level, reason)` order.
     pub fn iter(&self) -> impl Iterator<Item = ((usize, ExitReason), u64)> + '_ {
-        self.counts.iter().enumerate().filter_map(|(idx, &n)| {
-            if n == 0 {
-                return None;
-            }
-            let level = idx / REASON_SLOTS;
-            let reason = ExitReason::from_number((idx % REASON_SLOTS) as u16)
-                .expect("ledger row holds only valid reason numbers");
-            Some(((level, reason), n))
-        })
+        self.cells().map(|(key, &n)| (key, n))
     }
 
     /// Adds every entry of `other` into this ledger.
     pub fn merge(&mut self, other: &ExitLedger) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
-        }
+        self.merge_with(other, |dst, src| *dst += src);
     }
 }
 
-impl PartialEq for ExitLedger {
-    fn eq(&self, other: &ExitLedger) -> bool {
-        // Trailing all-zero rows are representation artifacts, not
-        // content; compare touched entries only.
-        self.iter().eq(other.iter())
+impl CycleLedger {
+    /// Records one outermost exit from (`level`, `reason`) that cost
+    /// `spent` cycles.
+    #[inline(always)]
+    pub fn record(&mut self, level: usize, reason: ExitReason, spent: Cycles) {
+        self.at(slot(level, reason)).observe(spent.as_u64());
+    }
+
+    /// Cycles attributed to (`level`, `reason`).
+    pub fn get(&self, level: usize, reason: ExitReason) -> Cycles {
+        Cycles::new(self.get_cell(level, reason).map_or(0, Histogram::sum))
+    }
+
+    /// Iterates touched `((level, reason), cycles)` entries in
+    /// `(level, reason)` order.
+    pub fn iter(&self) -> impl Iterator<Item = ((usize, ExitReason), Cycles)> + '_ {
+        self.cells().map(|(key, h)| (key, Cycles::new(h.sum())))
+    }
+
+    /// Adds every cell of `other` into this ledger.
+    pub fn merge(&mut self, other: &CycleLedger) {
+        self.merge_with(other, Histogram::merge);
     }
 }
 
-impl Eq for ExitLedger {}
+impl<'a> IntoIterator for &'a CycleLedger {
+    type Item = ((usize, ExitReason), Cycles);
+    type IntoIter = Box<dyn Iterator<Item = ((usize, ExitReason), Cycles)> + 'a>;
 
-/// Dense per-level intervention counters, indexed directly by the
-/// guest hypervisor's level. Like [`ExitLedger`] this sits on the
-/// reflection path (once per delivered exit), so it is a flat `Vec`
-/// rather than an ordered map; iteration order and equality match the
-/// `BTreeMap<usize, u64>` it replaced.
-#[derive(Debug, Clone, Default)]
-pub struct InterventionLedger {
-    counts: Vec<u64>,
+    fn into_iter(self) -> Self::IntoIter {
+        Box::new(self.iter())
+    }
+}
+
+/// One level's interventions: exits delivered by
+/// [`crate::World::reflect_to`], with their latency, and interrupt
+/// relays, which are counted only.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct InterventionCell {
+    /// Latency of each reflected exit delivery.
+    pub reflected: Histogram,
+    /// Interrupt relays.
+    pub relayed: u64,
 }
 
 impl InterventionLedger {
-    /// Creates an empty ledger.
-    pub fn new() -> InterventionLedger {
-        InterventionLedger::default()
-    }
-
-    /// Increments the counter for `level`, growing on first use.
+    /// Records one exit delivered to the hypervisor at `level`, which
+    /// took `spent` cycles from reflection to resume.
     #[inline(always)]
-    pub fn record(&mut self, level: usize) {
-        if let Some(c) = self.counts.get_mut(level) {
-            *c += 1;
-        } else {
-            // Cold: first intervention at this level.
-            self.counts.resize(level + 1, 0);
-            *self.counts.last_mut().expect("just resized to level + 1") += 1;
-        }
+    pub fn record(&mut self, level: usize, spent: Cycles) {
+        self.at(level).reflected.observe(spent.as_u64());
     }
 
-    /// The count for `level`.
-    pub fn get(&self, level: usize) -> u64 {
-        self.counts.get(level).copied().unwrap_or(0)
+    /// Records one interrupt relayed through the hypervisor at `level`.
+    #[inline(always)]
+    pub fn record_relay(&mut self, level: usize) {
+        self.at(level).relayed += 1;
     }
 
     /// Sum over all levels.
     pub fn total(&self) -> u64 {
-        self.counts.iter().sum()
+        self.iter().map(|(_, n)| n).sum()
     }
 
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.counts.iter().all(|&n| n == 0)
+    /// Iterates touched `(level, cell)` entries in level order.
+    pub fn cells(&self) -> impl Iterator<Item = (usize, &InterventionCell)> + '_ {
+        self.touched()
     }
 
     /// Iterates touched `(level, count)` entries in level order.
     pub fn iter(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter_map(|(level, &n)| if n == 0 { None } else { Some((level, n)) })
+        self.touched()
+            .map(|(level, c)| (level, c.reflected.count() + c.relayed))
     }
 
     /// Adds every entry of `other` into this ledger.
     pub fn merge(&mut self, other: &InterventionLedger) {
-        if self.counts.len() < other.counts.len() {
-            self.counts.resize(other.counts.len(), 0);
-        }
-        for (dst, src) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *dst += src;
-        }
+        self.merge_with(other, |dst, src| {
+            dst.reflected.merge(&src.reflected);
+            dst.relayed += src.relayed;
+        });
     }
 }
-
-impl PartialEq for InterventionLedger {
-    fn eq(&self, other: &InterventionLedger) -> bool {
-        self.iter().eq(other.iter())
-    }
-}
-
-impl Eq for InterventionLedger {}
 
 /// Statistics accumulated while a simulated machine runs.
 ///
@@ -184,9 +223,10 @@ pub struct RunStats {
     /// lands at L0 first (single-level architectural support); this
     /// records where it came *from*.
     pub exits: ExitLedger,
-    /// Exits that were delivered to a guest hypervisor at the indexed
-    /// level (1-based) — the "guest hypervisor interventions" the paper
-    /// counts as the root cause of nested overhead.
+    /// Guest-hypervisor interventions, by the intervening hypervisor's
+    /// level (1-based) — the root cause of nested overhead the paper
+    /// counts: reflected exits with their delivery latency, and
+    /// interrupt relays.
     pub interventions: InterventionLedger,
     /// Exits handled entirely by L0 on behalf of a nested VM thanks to
     /// a DVH mechanism.
@@ -195,15 +235,17 @@ pub struct RunStats {
     pub posted_deliveries: u64,
     /// Interrupts that required exit-based injection.
     pub injected_interrupts: u64,
-    /// Cycles spent with a physical CPU halted (not burned).
-    pub idle_cycles: Cycles,
+    /// Cycles a halted vCPU had spent in a low-power state when an
+    /// interrupt woke it, one observation per wake (not burned; the sum
+    /// is the idle total).
+    pub idle_cycles: Histogram,
     /// Cycles burned busy-polling instead of halting (the `idle=poll`
     /// alternative §3.4 contrasts with virtual idle).
     pub burned_idle_cycles: Cycles,
     /// Cycles attributed to each *outermost* exit, by (level, reason):
     /// the full cost of handling that exit, including every nested
     /// trap it caused. Answers "where did the time go?".
-    pub cycles_by_reason: BTreeMap<(usize, ExitReason), Cycles>,
+    pub cycles_by_reason: CycleLedger,
 }
 
 impl RunStats {
@@ -218,38 +260,25 @@ impl RunStats {
         self.exits.record(level, reason);
     }
 
-    /// Records delivery of an exit to the guest hypervisor at `level`.
-    #[inline(always)]
-    pub fn record_intervention(&mut self, level: usize) {
-        self.interventions.record(level);
-    }
-
     /// Records a DVH interception by mechanism name.
     pub fn record_dvh(&mut self, mechanism: &'static str) {
         *self.dvh_intercepts.entry(mechanism).or_insert(0) += 1;
     }
 
     /// Attributes `cycles` to the outermost exit (level, reason).
+    #[inline(always)]
     pub fn attribute_cycles(&mut self, level: usize, reason: ExitReason, cycles: Cycles) {
-        *self
-            .cycles_by_reason
-            .entry((level, reason))
-            .or_insert(Cycles::ZERO) += cycles;
+        self.cycles_by_reason.record(level, reason, cycles);
     }
 
     /// Total attributed cycles across all outermost exits.
     pub fn total_attributed_cycles(&self) -> Cycles {
-        self.cycles_by_reason.values().copied().sum()
+        self.cycles_by_reason.iter().map(|(_, c)| c).sum()
     }
 
     /// Total hardware exits from all levels.
     pub fn total_exits(&self) -> u64 {
         self.exits.total()
-    }
-
-    /// Total exits from the given level.
-    pub fn exits_from_level(&self, level: usize) -> u64 {
-        self.exits.level_total(level)
     }
 
     /// Exits from `level` with `reason`.
@@ -276,10 +305,41 @@ impl RunStats {
         }
         self.posted_deliveries += other.posted_deliveries;
         self.injected_interrupts += other.injected_interrupts;
-        self.idle_cycles += other.idle_cycles;
+        self.idle_cycles.merge(&other.idle_cycles);
         self.burned_idle_cycles += other.burned_idle_cycles;
-        for (k, v) in &other.cycles_by_reason {
-            *self.cycles_by_reason.entry(*k).or_insert(Cycles::ZERO) += *v;
+        self.cycles_by_reason.merge(&other.cycles_by_reason);
+    }
+
+    /// Writes the engine series into `reg` as absolute values: the
+    /// `exit_cycles{level,reason}` and `intervention_cycles{level}`
+    /// histograms, the `dvh_intercepts{tag}` counters and the
+    /// `irq_wake_idle_cycles` histogram. Series already in `reg` are
+    /// replaced, so the registry covers exactly this ledger's window
+    /// and re-exporting never double-counts.
+    pub fn export_metrics(&self, reg: &mut MetricsRegistry) {
+        for name in [
+            names::EXIT_CYCLES,
+            names::INTERVENTION_CYCLES,
+            names::DVH_INTERCEPTS,
+            names::IRQ_WAKE_IDLE_CYCLES,
+        ] {
+            reg.remove_series(name);
+        }
+        for ((level, reason), h) in self.cycles_by_reason.cells() {
+            reg.set_histogram(MetricKey::exit(names::EXIT_CYCLES, level, reason), h);
+        }
+        for (level, c) in self.interventions.cells() {
+            if c.reflected.count() > 0 {
+                let key = MetricKey::at_level(names::INTERVENTION_CYCLES, level);
+                reg.set_histogram(key, &c.reflected);
+            }
+        }
+        for (&tag, &n) in &self.dvh_intercepts {
+            reg.set_counter(MetricKey::tagged(names::DVH_INTERCEPTS, tag), n);
+        }
+        if self.idle_cycles.count() > 0 {
+            let key = MetricKey::plain(names::IRQ_WAKE_IDLE_CYCLES);
+            reg.set_histogram(key, &self.idle_cycles);
         }
     }
 }
@@ -313,7 +373,6 @@ mod tests {
         s.record_exit(2, ExitReason::Vmcall);
         s.record_exit(1, ExitReason::Vmresume);
         assert_eq!(s.total_exits(), 3);
-        assert_eq!(s.exits_from_level(2), 2);
         assert_eq!(s.exits_with(2, ExitReason::Vmcall), 2);
         assert_eq!(s.exits_with(3, ExitReason::Vmcall), 0);
     }
@@ -321,8 +380,8 @@ mod tests {
     #[test]
     fn interventions_and_dvh() {
         let mut s = RunStats::new();
-        s.record_intervention(1);
-        s.record_intervention(1);
+        s.interventions.record(1, Cycles::new(10));
+        s.interventions.record_relay(1);
         s.record_dvh("vtimer");
         assert_eq!(s.total_interventions(), 2);
         assert_eq!(s.total_dvh_intercepts(), 1);

@@ -406,21 +406,20 @@ mod tests {
         let doc = json::parse(&text).unwrap();
         let from_json = chrome_outermost_totals(&doc);
         assert!(!from_json.is_empty());
-        let ledger = &w.stats.cycles_by_reason;
-        assert_eq!(from_json.len(), ledger.len());
-        for ((lvl, reason), c) in ledger {
-            let got = from_json
-                .get(&(*lvl, reason.to_string()))
-                .copied()
-                .unwrap_or(0);
-            assert_eq!(got, c.as_u64(), "(L{lvl}, {reason})");
-        }
+        let ledger: BTreeMap<_, _> = w
+            .stats
+            .cycles_by_reason
+            .iter()
+            .map(|((lvl, reason), c)| ((lvl, reason.to_string()), c.as_u64()))
+            .collect();
+        assert_eq!(from_json, ledger);
     }
 
     #[test]
     fn span_totals_helper_matches_ledger() {
         let (w, events) = traced_world();
-        assert_eq!(span_cycle_totals(&events), w.stats.cycles_by_reason);
+        let ledger: BTreeMap<_, _> = w.stats.cycles_by_reason.iter().collect();
+        assert_eq!(span_cycle_totals(&events), ledger);
     }
 
     #[test]

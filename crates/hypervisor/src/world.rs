@@ -539,13 +539,16 @@ impl World {
         self.enable_metrics();
     }
 
-    /// The live metrics registry, if metrics were enabled.
+    /// The metrics registry, if metrics were enabled: engine and
+    /// device series as of the last [`World::export_device_metrics`].
     pub fn metrics(&self) -> Option<&MetricsRegistry> {
         self.metrics.as_deref()
     }
 
-    /// Stops metrics collection and returns the registry.
+    /// Exports the engine and device series, then stops metrics
+    /// collection and returns the registry.
     pub fn take_metrics(&mut self) -> Option<MetricsRegistry> {
+        self.export_device_metrics();
         self.metrics_on = false;
         self.metrics.take().map(|m| *m)
     }
@@ -571,15 +574,17 @@ impl World {
         }
     }
 
-    /// Snapshots every device's lifetime counters (virtqueue kicks,
-    /// interrupts, in-flight; vhost packet/byte/drop totals) into the
-    /// metrics registry. Exports are absolute values, so calling this
-    /// repeatedly (e.g. once per sweep cell) never double-counts; a
-    /// no-op when metrics are disabled.
+    /// Exports the engine's ledger ([`RunStats::export_metrics`]) and
+    /// every device's lifetime counters (virtqueue kicks, interrupts,
+    /// in-flight; vhost packet/byte/drop totals) into the metrics
+    /// registry. Exports are absolute values, so calling this
+    /// repeatedly never double-counts; a no-op when metrics are
+    /// disabled.
     pub fn export_device_metrics(&mut self) {
         let Some(reg) = self.metrics.as_deref_mut() else {
             return;
         };
+        self.stats.export_metrics(reg);
         for (lvl, dev) in self.virtio.iter().enumerate() {
             dev.rx.export_metrics(reg, virtio_queue_tag(lvl, true));
             dev.tx.export_metrics(reg, virtio_queue_tag(lvl, false));

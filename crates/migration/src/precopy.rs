@@ -158,7 +158,7 @@ pub fn migrate_nested_vm(
             use dvh_obs::metrics::names;
             use dvh_obs::MetricKey;
             m.observe(MetricKey::plain(names::PRECOPY_ROUND_PAGES), page_count);
-            m.observe_cycles(MetricKey::plain(names::PRECOPY_ROUND_CYCLES), time);
+            m.observe(MetricKey::plain(names::PRECOPY_ROUND_CYCLES), time.as_u64());
         });
         total_pages += page_count;
         total_time += time;

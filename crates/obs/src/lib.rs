@@ -37,10 +37,11 @@
 //! * [`prom`] — Prometheus text exposition format for the registry.
 //!
 //! The registry itself is passive: the hypervisor's `World` owns one
-//! behind the same enabled-flag pattern as its tracer, so a disabled
-//! registry costs one predicted branch per instrumentation point and
-//! nothing else. Feeding it never touches simulated time — enabling
-//! metrics cannot change any pinned ledger.
+//! behind the same enabled-flag pattern as its tracer. The engine's
+//! series are exported into it from the engine's own ledger
+//! (`RunStats`); the few live capture sites cost one predicted branch
+//! each when the registry is disabled. Feeding it never touches
+//! simulated time — enabling metrics cannot change any pinned ledger.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

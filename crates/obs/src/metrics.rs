@@ -9,7 +9,6 @@
 
 use dvh_arch::cycles::{cycle_bucket_index, CYCLE_BUCKET_BOUNDS};
 use dvh_arch::vmx::ExitReason;
-use dvh_arch::Cycles;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -18,22 +17,22 @@ use std::fmt;
 /// document each.
 pub mod names {
     /// Histogram, keyed (level, reason): simulated cycles attributed
-    /// to each *outermost* exit — the metrics twin of
-    /// `RunStats::cycles_by_reason`, which the checker proves it
-    /// conserves against.
+    /// to each *outermost* exit — exported from the cells of
+    /// `RunStats::cycles_by_reason`.
     pub const EXIT_CYCLES: &str = "exit_cycles";
     /// Histogram, keyed (level): end-to-end latency of delivering one
     /// exit to a guest hypervisor at that level (reflection through
-    /// re-entry, nested traps included).
+    /// re-entry, nested traps included) — exported from
+    /// `RunStats::interventions`.
     pub const INTERVENTION_CYCLES: &str = "intervention_cycles";
     /// Counter, tagged by mechanism: exits a DVH extension handled
-    /// entirely at L0.
+    /// entirely at L0 — exported from `RunStats::dvh_intercepts`.
     pub const DVH_INTERCEPTS: &str = "dvh_intercepts";
     /// Counter, tagged `posted` or `injected`: leaf interrupt
     /// deliveries by path.
     pub const IRQ_DELIVERIES: &str = "irq_deliveries";
     /// Histogram: cycles a halted vCPU had been idle when an interrupt
-    /// woke it.
+    /// woke it — exported from `RunStats::idle_cycles`.
     pub const IRQ_WAKE_IDLE_CYCLES: &str = "irq_wake_idle_cycles";
     /// Histogram: pages transferred per pre-copy round (bucketed on
     /// the same ladder; a page count, not cycles).
@@ -153,9 +152,9 @@ pub const HISTOGRAM_BUCKETS: usize = CYCLE_BUCKET_BOUNDS.len() + 1;
 
 /// A fixed-bucket histogram over the shared cycle ladder.
 ///
-/// `sum` is exact (saturating only at `u64::MAX`, like [`Cycles`]
-/// arithmetic), which is what lets the checker prove histogram totals
-/// conserve against the engine's attribution ledger.
+/// `sum` is exact (saturating only at `u64::MAX`, like
+/// [`dvh_arch::Cycles`] arithmetic), which is what lets a histogram be
+/// a cell of the engine's attribution ledger.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     buckets: [u64; HISTOGRAM_BUCKETS],
@@ -263,28 +262,18 @@ impl MetricsRegistry {
         self.histograms.entry(key).or_default().observe(value);
     }
 
-    /// Records a cycle-valued histogram observation.
-    pub fn observe_cycles(&mut self, key: MetricKey, value: Cycles) {
-        self.observe(key, value.as_u64());
+    /// Sets a histogram to an absolute value (for exporting
+    /// histograms maintained elsewhere, e.g. the engine's ledger).
+    pub fn set_histogram(&mut self, key: MetricKey, h: &Histogram) {
+        self.histograms.insert(key, h.clone());
     }
 
-    /// Attributes `spent` cycles to the outermost exit (level, reason)
-    /// — the engine's per-exit instrumentation point.
-    pub fn observe_exit(&mut self, level: usize, reason: ExitReason, spent: Cycles) {
-        self.observe_cycles(MetricKey::exit(names::EXIT_CYCLES, level, reason), spent);
-    }
-
-    /// Records one guest-hypervisor intervention latency at `level`.
-    pub fn observe_intervention(&mut self, level: usize, spent: Cycles) {
-        self.observe_cycles(
-            MetricKey::at_level(names::INTERVENTION_CYCLES, level),
-            spent,
-        );
-    }
-
-    /// Counts one DVH interception by `mechanism`.
-    pub fn record_dvh(&mut self, mechanism: &'static str) {
-        self.inc(MetricKey::tagged(names::DVH_INTERCEPTS, mechanism));
+    /// Removes every counter, gauge and histogram named `name`, so an
+    /// export can replace a whole series.
+    pub fn remove_series(&mut self, name: &str) {
+        self.counters.retain(|k, _| k.name != name);
+        self.gauges.retain(|k, _| k.name != name);
+        self.histograms.retain(|k, _| k.name != name);
     }
 
     /// A counter's value (0 when never touched).
@@ -320,21 +309,6 @@ impl MetricsRegistry {
     /// Whether nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.counters.is_empty() && self.gauges.is_empty() && self.histograms.is_empty()
-    }
-
-    /// The per-(level, reason) cycle totals of the
-    /// [`names::EXIT_CYCLES`] histograms — shaped exactly like the
-    /// engine's `cycles_by_reason` ledger so the checker can compare
-    /// them entry by entry.
-    pub fn exit_cycle_totals(&self) -> BTreeMap<(usize, ExitReason), Cycles> {
-        self.histograms
-            .iter()
-            .filter(|(k, _)| k.name == names::EXIT_CYCLES)
-            .filter_map(|(k, h)| {
-                let (level, reason) = (k.level?, k.reason?);
-                Some(((level, reason), Cycles::new(h.sum())))
-            })
-            .collect()
     }
 
     /// Adds every metric of `other` into this registry (sweep-cell
@@ -382,8 +356,26 @@ impl MetricsRegistry {
 }
 
 #[cfg(test)]
+impl MetricsRegistry {
+    /// Test fixture: attributes `spent` cycles to the outermost exit
+    /// (level, reason), the way the engine's ledger export would.
+    pub(crate) fn observe_exit(
+        &mut self,
+        level: usize,
+        reason: ExitReason,
+        spent: dvh_arch::Cycles,
+    ) {
+        self.observe(
+            MetricKey::exit(names::EXIT_CYCLES, level, reason),
+            spent.as_u64(),
+        );
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use dvh_arch::Cycles;
 
     #[test]
     fn histogram_buckets_and_sum() {
@@ -429,28 +421,16 @@ mod tests {
     }
 
     #[test]
-    fn exit_totals_mirror_ledger_shape() {
-        let mut m = MetricsRegistry::new();
-        m.observe_exit(2, ExitReason::Vmcall, Cycles::new(100));
-        m.observe_exit(2, ExitReason::Vmcall, Cycles::new(50));
-        m.observe_exit(1, ExitReason::Hlt, Cycles::new(7));
-        let totals = m.exit_cycle_totals();
-        assert_eq!(totals[&(2, ExitReason::Vmcall)], Cycles::new(150));
-        assert_eq!(totals[&(1, ExitReason::Hlt)], Cycles::new(7));
-        assert_eq!(totals.len(), 2);
-    }
-
-    #[test]
     fn snapshot_is_deterministic_and_sorted() {
         let mut a = MetricsRegistry::new();
-        a.record_dvh("vtimer");
+        a.inc(MetricKey::tagged(names::DVH_INTERCEPTS, "vtimer"));
         a.observe_exit(2, ExitReason::MsrWrite, Cycles::new(1000));
         a.set_gauge(MetricKey::tagged(names::VIRTQUEUE_IN_FLIGHT, "net-tx"), 3);
         let mut b = MetricsRegistry::new();
         // Same data, different insertion order.
         b.set_gauge(MetricKey::tagged(names::VIRTQUEUE_IN_FLIGHT, "net-tx"), 3);
         b.observe_exit(2, ExitReason::MsrWrite, Cycles::new(1000));
-        b.record_dvh("vtimer");
+        b.inc(MetricKey::tagged(names::DVH_INTERCEPTS, "vtimer"));
         assert_eq!(a.snapshot(), b.snapshot());
         let snap = a.snapshot();
         assert!(
@@ -477,17 +457,13 @@ mod tests {
         b.inc(MetricKey::tagged(names::IRQ_DELIVERIES, "posted"));
         a.merge(&b);
         assert_eq!(
-            a.exit_cycle_totals()[&(2, ExitReason::Vmcall)],
-            Cycles::new(15)
-        );
-        assert_eq!(
             a.counter(&MetricKey::tagged(names::IRQ_DELIVERIES, "posted")),
             2
         );
         let h = a
             .histogram(&MetricKey::exit(names::EXIT_CYCLES, 2, ExitReason::Vmcall))
             .unwrap();
-        assert_eq!(h.count(), 2);
+        assert_eq!((h.count(), h.sum()), (2, 15));
         assert!(h.is_consistent());
     }
 

@@ -1,10 +1,9 @@
 //! Top-N cycle-attribution profiles: where did the simulated time go,
 //! by (level, reason)?
 //!
-//! The rows come from the [`names::EXIT_CYCLES`] histograms, i.e. the
-//! same numbers the checker proves conserve against the engine's
-//! attribution ledger — a profile is a sorted view of certified data,
-//! not a second opinion.
+//! The rows come from the [`names::EXIT_CYCLES`] histograms, which
+//! the engine exports from its attribution ledger — a profile is a
+//! sorted view of the ledger, not a second opinion.
 
 use crate::metrics::{names, MetricsRegistry};
 

@@ -1,21 +1,27 @@
 //! Integration tests for the dvh-obs observability layer: the Fig. 7
 //! L2 netperf scenario, traced and metered end to end.
 //!
-//! The contract under test is exactness, not plausibility — the
-//! metrics registry, the serialized Chrome trace, and the engine's
-//! `RunStats` attribution ledger are three independent accountings of
-//! the same simulated cycles, and they must agree key for key. The
-//! second contract is invisibility: enabling observability must not
-//! change a single simulated cycle.
+//! The contract under test is exactness, not plausibility. The
+//! engine's `RunStats` is the one record of each exit; the metrics
+//! registry's engine series are an export of it and must equal its
+//! cells exactly, whenever metrics were armed. The serialized Chrome
+//! trace and the JSONL stream account the same simulated cycles a
+//! second way and must agree with the ledger key for key. The last
+//! contract is invisibility: enabling observability must not change a
+//! single simulated cycle.
 
 use dvh_checker::metrics_lint::{lint_chrome_export, lint_metrics};
 use dvh_core::{Machine, MachineConfig};
 use dvh_hypervisor::trace_export::{
     chrome_json, chrome_outermost_totals, jsonl, span_cycle_totals,
 };
+use dvh_hypervisor::RunStats;
 use dvh_obs::json::{self, Value};
+use dvh_obs::metrics::names;
 use dvh_obs::profile::exit_profile;
+use dvh_obs::{Histogram, MetricKey, MetricsRegistry};
 use dvh_workloads::{run_app, AppId};
+use std::collections::BTreeMap;
 
 const TXNS: u32 = 25;
 
@@ -33,6 +39,63 @@ fn fig7_l2_netperf() -> Machine {
     m
 }
 
+/// The registry's histograms named `name`, by key.
+fn histograms(reg: &MetricsRegistry, name: &str) -> BTreeMap<MetricKey, Histogram> {
+    reg.histograms()
+        .filter(|(k, _)| k.name == name)
+        .map(|(k, h)| (*k, h.clone()))
+        .collect()
+}
+
+/// Asserts that the registry's engine series are exactly the ledger's
+/// cells: `exit_cycles`, `intervention_cycles`, `dvh_intercepts` and
+/// `irq_wake_idle_cycles`, with no key missing and none extra.
+fn assert_export_is_the_ledger(reg: &MetricsRegistry, stats: &RunStats, name: &str) {
+    let exits: BTreeMap<_, _> = stats
+        .cycles_by_reason
+        .cells()
+        .map(|((level, reason), h)| {
+            (
+                MetricKey::exit(names::EXIT_CYCLES, level, reason),
+                h.clone(),
+            )
+        })
+        .collect();
+    assert_eq!(
+        histograms(reg, names::EXIT_CYCLES),
+        exits,
+        "{name}: exit_cycles"
+    );
+    let interventions: BTreeMap<_, _> = stats
+        .interventions
+        .cells()
+        .filter(|(_, c)| c.reflected.count() > 0)
+        .map(|(level, c)| {
+            let key = MetricKey::at_level(names::INTERVENTION_CYCLES, level);
+            (key, c.reflected.clone())
+        })
+        .collect();
+    assert_eq!(
+        histograms(reg, names::INTERVENTION_CYCLES),
+        interventions,
+        "{name}: intervention_cycles"
+    );
+    let intercepts: BTreeMap<&str, u64> = reg
+        .counters()
+        .filter(|(k, _)| k.name == names::DVH_INTERCEPTS)
+        .map(|(k, n)| (k.tag.expect("tagged by mechanism"), n))
+        .collect();
+    let want: BTreeMap<&str, u64> = stats.dvh_intercepts.iter().map(|(&t, &n)| (t, n)).collect();
+    assert_eq!(intercepts, want, "{name}: dvh_intercepts");
+    let idle = (stats.idle_cycles.count() > 0).then(|| stats.idle_cycles.clone());
+    assert_eq!(
+        reg.histogram(&MetricKey::plain(names::IRQ_WAKE_IDLE_CYCLES))
+            .cloned(),
+        idle,
+        "{name}: irq_wake_idle_cycles"
+    );
+}
+
 #[test]
 fn chrome_export_round_trips_and_matches_ledger_exactly() {
     let mut m = fig7_l2_netperf();
@@ -46,17 +109,14 @@ fn chrome_export_round_trips_and_matches_ledger_exactly() {
 
     // Per-(level, reason) outermost span totals, re-derived from the
     // serialized JSON, equal the attribution ledger — both directions.
-    let from_json = chrome_outermost_totals(&doc);
-    let ledger = &w.stats.cycles_by_reason;
-    assert!(!ledger.is_empty());
-    assert_eq!(from_json.len(), ledger.len());
-    for ((level, reason), cycles) in ledger {
-        assert_eq!(
-            from_json.get(&(*level, reason.to_string())).copied(),
-            Some(cycles.as_u64()),
-            "(L{level}, {reason})"
-        );
-    }
+    assert!(!w.stats.cycles_by_reason.is_empty());
+    let ledger: BTreeMap<_, _> = w
+        .stats
+        .cycles_by_reason
+        .iter()
+        .map(|((level, reason), cycles)| ((level, reason.to_string()), cycles.as_u64()))
+        .collect();
+    assert_eq!(chrome_outermost_totals(&doc), ledger);
 }
 
 #[test]
@@ -81,8 +141,9 @@ fn trace_track_layout_is_one_thread_per_level() {
 fn metrics_registry_is_the_ledgers_twin() {
     let mut m = fig7_l2_netperf();
     let w = m.world_mut();
+    w.export_device_metrics();
     let reg = w.metrics().expect("metrics enabled");
-    assert_eq!(reg.exit_cycle_totals(), w.stats.cycles_by_reason);
+    assert_export_is_the_ledger(reg, &w.stats, "fig7/nested");
     // And the checker's metrics pass certifies the same machine clean.
     assert!(lint_metrics(reg, &w.stats).is_empty());
     let violations = lint_chrome_export(w.trace_events(), w.num_cpus(), w.leaf_level(), &w.stats);
@@ -92,22 +153,68 @@ fn metrics_registry_is_the_ledgers_twin() {
 #[test]
 fn every_fig7_column_conserves_under_netperf() {
     // Plus the L3 baseline machine: the deepest exit multiplication,
-    // where registry and ledger have the most nested exits to agree on.
+    // where the export has the most nested exits to carry.
     let configs = dvh_checker::harness::fig7_configs()
         .into_iter()
         .chain([("l3/nested", MachineConfig::baseline(3))]);
+    let mut exported = std::collections::BTreeSet::new();
     for (name, config) in configs {
         let mut m = Machine::build(config);
         m.world_mut().enable_metrics();
         run_app(&mut m, &AppId::NetperfRr.mix(), 20);
         let w = m.world_mut();
-        let reg = w.metrics().expect("metrics enabled");
-        assert_eq!(
-            reg.exit_cycle_totals(),
-            w.stats.cycles_by_reason,
-            "{name}: registry and ledger disagree"
-        );
+        let reg = w.take_metrics().expect("metrics enabled");
+        assert!(!w.stats.cycles_by_reason.is_empty(), "{name}");
+        assert_export_is_the_ledger(&reg, &w.stats, name);
+        exported.extend(reg.histograms().map(|(k, _)| k.name));
+        exported.extend(reg.counters().map(|(k, _)| k.name));
     }
+    // Every engine series was exercised by some column, so the
+    // equalities above were not vacuous.
+    for series in [
+        names::EXIT_CYCLES,
+        names::INTERVENTION_CYCLES,
+        names::DVH_INTERCEPTS,
+        names::IRQ_WAKE_IDLE_CYCLES,
+    ] {
+        assert!(exported.contains(series), "{series} never exported");
+    }
+}
+
+#[test]
+fn metrics_armed_after_a_run_export_the_whole_ledger_window() {
+    // The Table 3 loop on the L3 baseline, run with metrics off: the
+    // registry is armed only afterwards, yet reports every exit since
+    // the last reset_stats, because it is an export of the ledger.
+    let mut m = Machine::build(MachineConfig::baseline(3));
+    m.world_mut().reset_stats();
+    for _ in 0..20 {
+        m.hypercall(0);
+        m.program_timer(0);
+        if m.vcpus() > 1 {
+            m.send_ipi(0, 1);
+        }
+        m.device_notify(0);
+    }
+    let w = m.world_mut();
+    assert!(w.stats.total_exits() > 10_000);
+    w.enable_metrics();
+    let reg = w.take_metrics().expect("metrics were enabled");
+    assert_export_is_the_ledger(&reg, &w.stats, "l3/table3");
+    let (_, p) = dvh_obs::percentiles::exit_percentiles(&reg)
+        .into_iter()
+        .find(|(level, _)| level.is_none())
+        .expect("the export derives exit-latency percentiles");
+    assert!(p.p50 <= p.p99, "percentiles must be monotone");
+
+    // A re-export after reset_stats replaces the engine series: the
+    // registry covers the ledger's window, not the registry's lifetime.
+    w.enable_metrics();
+    w.export_device_metrics();
+    w.reset_stats();
+    let reg = w.take_metrics().expect("metrics were enabled");
+    assert!(histograms(&reg, names::EXIT_CYCLES).is_empty());
+    assert_export_is_the_ledger(&reg, &w.stats, "l3/after-reset");
 }
 
 #[test]
@@ -128,10 +235,10 @@ fn observability_never_perturbs_the_simulation() {
 fn profile_rows_sum_to_the_ledger() {
     let mut m = fig7_l2_netperf();
     let w = m.world_mut();
-    let reg = w.metrics().expect("metrics enabled");
-    let rows = exit_profile(reg, usize::MAX);
+    let reg = w.take_metrics().expect("metrics enabled");
+    let rows = exit_profile(&reg, usize::MAX);
     let row_total: u64 = rows.iter().map(|r| r.cycles).sum();
-    let ledger_total: u64 = w.stats.cycles_by_reason.values().map(|c| c.as_u64()).sum();
+    let ledger_total = w.stats.total_attributed_cycles().as_u64();
     assert_eq!(row_total, ledger_total);
     let pct: f64 = rows.iter().map(|r| r.percent).sum();
     assert!((pct - 100.0).abs() < 1e-6, "{pct}");
@@ -148,10 +255,8 @@ fn jsonl_export_covers_every_event() {
         json::parse(line).expect("every jsonl line parses");
     }
     // The in-memory helper and the trace agree too.
-    assert_eq!(
-        span_cycle_totals(&events),
-        m.world_mut().stats.cycles_by_reason
-    );
+    let ledger: BTreeMap<_, _> = m.world().stats.cycles_by_reason.iter().collect();
+    assert_eq!(span_cycle_totals(&events), ledger);
 }
 
 #[test]

@@ -136,7 +136,7 @@ fn claim_virtual_idle_saves_cycles() {
     m.world_mut()
         .deliver_leaf_interrupt(0, 0x33, wake_at, dvh_hypervisor::IrqPath::PostedDirect);
     // The 5M-cycle wait was spent halted, not burned.
-    assert!(m.world().stats.idle_cycles.as_u64() >= 5_000_000);
+    assert!(m.world().stats.idle_cycles.sum() >= 5_000_000);
 }
 
 /// §4: paravirtual I/O at L3 is "practically unusable, showing more
