@@ -145,27 +145,46 @@ impl PiDescriptor {
         self.pir[idx] & (1u64 << (vector % 64)) != 0
     }
 
-    /// Drains all pending vectors in ascending order, clearing the
-    /// descriptor, as virtual-interrupt delivery does on VM entry or on
-    /// notification receipt.
-    pub fn drain(&mut self) -> Vec<Vector> {
-        let mut out = Vec::new();
-        for (i, word) in self.pir.iter_mut().enumerate() {
-            let mut w = *word;
-            while w != 0 {
-                let bit = w.trailing_zeros();
-                out.push((i as u32 * 64 + bit) as u8);
-                w &= w - 1;
-            }
-            *word = 0;
-        }
+    /// Drains all pending vectors, clearing the descriptor, as
+    /// virtual-interrupt delivery does on VM entry or on notification
+    /// receipt. The descriptor is cleared at once; the returned
+    /// iterator yields the drained vectors in ascending order without
+    /// allocating.
+    pub fn drain(&mut self) -> PendingVectors {
         self.on = false;
-        out
+        PendingVectors {
+            pir: std::mem::take(&mut self.pir),
+            word: 0,
+        }
     }
 
     /// Whether any vector is pending.
     pub fn has_pending(&self) -> bool {
         self.pir.iter().any(|w| *w != 0)
+    }
+}
+
+/// The vectors drained from a [`PiDescriptor`], in ascending order.
+#[derive(Debug, Clone)]
+pub struct PendingVectors {
+    pir: [u64; 4],
+    word: usize,
+}
+
+impl Iterator for PendingVectors {
+    type Item = Vector;
+
+    fn next(&mut self) -> Option<Vector> {
+        while self.word < self.pir.len() {
+            let w = &mut self.pir[self.word];
+            if *w != 0 {
+                let bit = w.trailing_zeros();
+                *w &= *w - 1;
+                return Some((self.word as u32 * 64 + bit) as Vector);
+            }
+            self.word += 1;
+        }
+        None
     }
 }
 
@@ -235,7 +254,7 @@ mod tests {
         assert!(!pi.post(0x31), "second post while ON should not notify");
         assert!(pi.is_pending(0x30));
         assert!(pi.is_pending(0x31));
-        let drained = pi.drain();
+        let drained: Vec<_> = pi.drain().collect();
         assert_eq!(drained, vec![0x30, 0x31]);
         assert!(!pi.has_pending());
         assert!(pi.post(0x32), "after drain, posting notifies again");
@@ -272,7 +291,7 @@ mod tests {
         pi.post(200);
         pi.post(3);
         pi.post(64);
-        assert_eq!(pi.drain(), vec![3, 64, 200]);
+        assert_eq!(pi.drain().collect::<Vec<_>>(), vec![3, 64, 200]);
     }
 }
 

@@ -8,6 +8,7 @@ use crate::source_lint::lint_sources;
 use crate::trace_lint::{lint_trace, TraceContext};
 use crate::{Report, Violation};
 use dvh_core::{Machine, MachineConfig};
+use dvh_hypervisor::World;
 use std::path::Path;
 
 /// Trace capacity used by the harness — large enough that no harness
@@ -25,6 +26,23 @@ pub fn fig7_configs() -> Vec<(&'static str, MachineConfig)> {
         ("fig7/nested-dvh-vp", MachineConfig::dvh_vp(2)),
         ("fig7/nested-dvh", MachineConfig::dvh(2)),
     ]
+}
+
+/// The configurations the pinned fixture covers: the Fig. 7 matrix
+/// plus the engine paths it leaves out — an L3 stack with and without
+/// DVH, a Xen guest hypervisor (Fig. 10) and KVM/ARM.
+pub fn pinned_configs() -> Vec<(&'static str, MachineConfig)> {
+    let mut configs = fig7_configs();
+    configs.extend([
+        ("l3/nested", MachineConfig::baseline(3)),
+        ("l3/nested-dvh", MachineConfig::dvh(3)),
+        (
+            "fig10/xen-dvh-vp",
+            MachineConfig::dvh_vp(2).with_xen_guest(),
+        ),
+        ("arm/nested", MachineConfig::arm_baseline(2)),
+    ]);
+    configs
 }
 
 /// A workload that touches every mechanism the invariants speak about:
@@ -47,10 +65,10 @@ pub fn exercise(m: &mut Machine) {
 }
 
 /// One pinned ledger row: what [`exercise`] must produce on a fresh
-/// machine of the named Fig. 7 configuration.
+/// machine of the named configuration (see [`pinned_configs`]).
 #[derive(Debug, Clone, Copy)]
 pub struct PinnedFixture {
-    /// Configuration name (matches [`fig7_configs`]).
+    /// Configuration name (matches [`pinned_configs`]).
     pub name: &'static str,
     /// Total hardware exits.
     pub exits: u64,
@@ -62,15 +80,46 @@ pub struct PinnedFixture {
     pub cycles: u64,
     /// CPU 0's simulated clock after the workload.
     pub now0: u64,
+    /// [`vmcs_digest`] of the whole VMCS hierarchy after the workload.
+    pub vmcs: u64,
 }
 
-/// The ledger [`exercise`] produced on every Fig. 7 configuration
-/// *before* the engine's storage/dispatch optimizations (dense VMCS
-/// slots, dense exit ledger, lazy tracing) landed. The optimizations
-/// claim to change how fast the simulator runs and nothing else; this
-/// pass holds them to it, bit for bit. A mismatch means an
-/// "optimization" changed simulated behavior — reject it.
-pub const PINNED_FIG7: [PinnedFixture; 6] = [
+/// 64-bit FNV-1a of `bytes`, continuing from `hash` (start from
+/// [`FNV_OFFSET`]): a compact, exact fingerprint for pinned outputs.
+pub fn fnv1a(hash: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(hash, |h, b| {
+        (h ^ u64::from(*b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+/// The FNV-1a offset basis.
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// [`fnv1a`] over every `(level, cpu, field, value)` of every VMCS in
+/// `w`, in hierarchy then encoding order.
+pub fn vmcs_digest(w: &World) -> u64 {
+    let mut h = FNV_OFFSET;
+    for level in 0..w.config.levels {
+        for cpu in 0..w.num_cpus() {
+            h = fnv1a(h, &[level as u8, cpu as u8]);
+            for (f, v) in w.vmcs(level, cpu).iter() {
+                h = fnv1a(h, &f.to_le_bytes());
+                h = fnv1a(h, &v.to_le_bytes());
+            }
+        }
+    }
+    h
+}
+
+/// The ledger [`exercise`] produced on every pinned configuration
+/// *before* the engine's optimizations landed: the Fig. 7 rows before
+/// dense VMCS slots, the dense exit ledger and lazy tracing; the L3,
+/// Xen and ARM rows and every `vmcs` digest before L0's handler paths
+/// were charged natively. The optimizations claim to change how fast
+/// the simulator runs and nothing else; this pass holds them to it,
+/// bit for bit. A mismatch means an "optimization" changed simulated
+/// behavior — reject it.
+pub const PINNED: [PinnedFixture; 10] = [
     PinnedFixture {
         name: "fig7/vm",
         exits: 10,
@@ -78,6 +127,7 @@ pub const PINNED_FIG7: [PinnedFixture; 6] = [
         dvh: 0,
         cycles: 31_761,
         now0: 35_483,
+        vmcs: 0xead6_588e_a5cb_5ebf,
     },
     PinnedFixture {
         name: "fig7/vm-pt",
@@ -86,6 +136,7 @@ pub const PINNED_FIG7: [PinnedFixture; 6] = [
         dvh: 0,
         cycles: 19_211,
         now0: 22_388,
+        vmcs: 0xead6_588e_a5cb_5ebf,
     },
     PinnedFixture {
         name: "fig7/nested",
@@ -94,6 +145,7 @@ pub const PINNED_FIG7: [PinnedFixture; 6] = [
         dvh: 0,
         cycles: 518_027,
         now0: 490_974,
+        vmcs: 0x1c41_454c_63c6_4675,
     },
     PinnedFixture {
         name: "fig7/nested-pt",
@@ -102,6 +154,7 @@ pub const PINNED_FIG7: [PinnedFixture; 6] = [
         dvh: 0,
         cycles: 384_742,
         now0: 355_089,
+        vmcs: 0x89f5_9a2c_7af0_9585,
     },
     PinnedFixture {
         name: "fig7/nested-dvh-vp",
@@ -110,6 +163,7 @@ pub const PINNED_FIG7: [PinnedFixture; 6] = [
         dvh: 0,
         cycles: 378_336,
         now0: 350_378,
+        vmcs: 0x087a_f5b9_1158_fc95,
     },
     PinnedFixture {
         name: "fig7/nested-dvh",
@@ -118,22 +172,59 @@ pub const PINNED_FIG7: [PinnedFixture; 6] = [
         dvh: 3,
         cycles: 112_981,
         now0: 116_703,
+        vmcs: 0x3939_c0e4_3fa3_d6e0,
+    },
+    PinnedFixture {
+        name: "l3/nested",
+        exits: 3_682,
+        interventions: 304,
+        dvh: 0,
+        cycles: 12_042_323,
+        now0: 11_142_110,
+        vmcs: 0xc359_3851_2cb4_df7d,
+    },
+    PinnedFixture {
+        name: "l3/nested-dvh",
+        exits: 570,
+        interventions: 46,
+        dvh: 3,
+        cycles: 1_874_151,
+        now0: 1_877_873,
+        vmcs: 0x327b_98e6_849e_2fd4,
+    },
+    PinnedFixture {
+        name: "fig10/xen-dvh-vp",
+        exits: 270,
+        interventions: 10,
+        dvh: 0,
+        cycles: 854_196,
+        now0: 776_078,
+        vmcs: 0x7668_997e_735c_0af9,
+    },
+    PinnedFixture {
+        name: "arm/nested",
+        exits: 250,
+        interventions: 13,
+        dvh: 0,
+        cycles: 648_957,
+        now0: 612_204,
+        vmcs: 0xdaa7_3d40_cbeb_f8db,
     },
 ];
 
 /// Runs [`exercise`] on a fresh machine per configuration (checking
 /// and tracing off — exactly how the fixture was captured) and
-/// compares every ledger total against [`PINNED_FIG7`].
+/// compares every ledger total and the VMCS digest against [`PINNED`].
 pub fn check_pinned_fixture() -> Vec<Violation> {
     let mut out = Vec::new();
-    let configs = fig7_configs();
-    for pinned in PINNED_FIG7 {
+    let configs = pinned_configs();
+    for pinned in PINNED {
         let Some((_, config)) = configs.iter().find(|(n, _)| *n == pinned.name) else {
             out.push(Violation {
                 pass: crate::Pass::Fixture,
                 rule: "pinned-config-exists",
                 location: pinned.name.to_string(),
-                detail: "pinned fixture has no matching fig7 configuration".into(),
+                detail: "pinned fixture has no matching configuration".into(),
             });
             continue;
         };
@@ -154,6 +245,7 @@ pub fn check_pinned_fixture() -> Vec<Violation> {
                 pinned.cycles,
             ),
             ("now0", w.now(0).as_u64(), pinned.now0),
+            ("vmcs", vmcs_digest(w), pinned.vmcs),
         ];
         for (what, actual, expected) in got {
             if actual != expected {
@@ -231,7 +323,7 @@ pub fn run_all(source_root: Option<&Path>) -> std::io::Result<Report> {
     report.add(
         format!(
             "pinned fixture: {} configuration(s), {} violation(s)",
-            PINNED_FIG7.len(),
+            PINNED.len(),
             pinned.len()
         ),
         "pinned-fixture",

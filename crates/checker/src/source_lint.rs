@@ -17,11 +17,14 @@
 //!   level-typed variables in hypervisor dispatch paths, which panic
 //!   on a bad level instead of reporting it (allowed only in
 //!   `world.rs`, whose accessors document their bounds).
-//! - `clone-on-exit-path` — `.clone()` in non-test `exits.rs` code.
-//!   The exit engine runs millions of times per sweep and is
+//! - `clone-on-exit-path` — `.clone()` or `to_vec` (called or passed
+//!   as `<[T]>::to_vec`) in non-test
+//!   `exits.rs` or `runtime.rs` code. The exit engine and the
+//!   interrupt-delivery runtime run millions of times per sweep and are
 //!   allocation-free by design (dense VMCS slots, index-iterated
-//!   profile lists); a clone on this path is a per-exit heap
-//!   allocation and goes through review, not past it.
+//!   profile lists, halt chains edited in place); a copy on these paths
+//!   is a per-exit heap allocation and goes through review, not past
+//!   it.
 //!
 //! Lines inside `#[cfg(test)]` blocks and comment lines are skipped
 //! (by repo convention test modules sit at the bottom of each file).
@@ -94,10 +97,15 @@ pub fn lint_file_text(display_path: &str, text: &str) -> Vec<Violation> {
     let normalized = display_path.replace('\\', "/");
     let in_hypervisor = normalized.contains("hypervisor/src");
     let is_world = in_hypervisor && normalized.ends_with("world.rs");
-    let is_exits = in_hypervisor && normalized.ends_with("exits.rs");
+    let is_exit_path =
+        in_hypervisor && (normalized.ends_with("exits.rs") || normalized.ends_with("runtime.rs"));
     // Built at runtime so the linter's own source never matches.
     let vmcs_needle = format!("{}{}", ".vmcs", "[");
-    let clone_needle = format!("{}{}", ".clone", "()");
+    let copy_needles = [
+        format!("{}{}", ".clone", "()"),
+        format!("{}{}", ".to_vec", "()"),
+        format!("{}{}", "::to", "_vec"),
+    ];
     let level_needles: Vec<String> = LEVEL_NAMES.iter().map(|n| format!("[{n}]")).collect();
 
     let mut out = Vec::new();
@@ -121,16 +129,19 @@ pub fn lint_file_text(display_path: &str, text: &str) -> Vec<Violation> {
                     .into(),
             });
         }
-        if is_exits && trimmed.contains(&clone_needle) {
-            out.push(Violation {
-                pass: Pass::Source,
-                rule: "clone-on-exit-path",
-                location: loc(),
-                detail: "the exit engine is allocation-free by design; a \
-                         .clone() here is a per-exit heap allocation — iterate \
-                         by index or borrow instead"
-                    .into(),
-            });
+        if is_exit_path {
+            if let Some(needle) = copy_needles.iter().find(|n| trimmed.contains(n.as_str())) {
+                out.push(Violation {
+                    pass: Pass::Source,
+                    rule: "clone-on-exit-path",
+                    location: loc(),
+                    detail: format!(
+                        "the exit engine is allocation-free by design; a \
+                         {needle} here is a per-exit heap allocation — iterate \
+                         by index, borrow, or reuse capacity instead"
+                    ),
+                });
+            }
         }
         if !is_world && trimmed.contains(&vmcs_needle) {
             out.push(Violation {
@@ -240,6 +251,22 @@ mod tests {
             ".clone", "()"
         );
         assert!(lint_file_text("crates/hypervisor/src/exits.rs", &test_only).is_empty());
+    }
+
+    #[test]
+    fn to_vec_in_interrupt_runtime_flagged() {
+        // Both ways of copying a halt chain on every push.
+        let code = format!(
+            "fn f(&mut self, cpu: usize) {{\n    let a = self.halt_chain(cpu).map(<[usize]>{}{});\n    let b = self.halt_chain(cpu).unwrap(){}{};\n}}\n",
+            "::to", "_vec", ".to_vec", "()"
+        );
+        let vs = lint_file_text("crates/hypervisor/src/runtime.rs", &code);
+        assert_eq!(vs.len(), 2, "{vs:?}");
+        assert!(vs.iter().all(|v| v.rule == "clone-on-exit-path"));
+        assert_eq!(vs[0].location, "crates/hypervisor/src/runtime.rs:2");
+        assert_eq!(vs[1].location, "crates/hypervisor/src/runtime.rs:3");
+        // Outside the exit path, copies are fine.
+        assert!(lint_file_text("crates/hypervisor/src/lifecycle.rs", &code).is_empty());
     }
 
     #[test]

@@ -14,6 +14,7 @@
 
 use crate::world::World;
 use dvh_arch::vmx::validate::{validate_vmentry, VmentryViolation};
+use dvh_arch::Cycles;
 use std::fmt;
 
 /// A VM-entry consistency violation, located in the VMCS hierarchy.
@@ -84,10 +85,18 @@ impl World {
 
     /// L0's native VM entry on `cpu`: charges the entry cost and (when
     /// enabled) validates vmcs01. Every simulated entry from root mode
-    /// goes through here instead of charging `vmentry_from_root` raw,
-    /// so the consistency checker sees them all.
+    /// goes through here or [`World::l0_enter`] instead of charging
+    /// `vmentry_from_root` raw, so the consistency checker sees them all.
     pub fn l0_vmentry(&mut self, cpu: usize) {
-        self.compute(cpu, self.costs.vmentry_from_root);
+        self.l0_enter(cpu, Cycles::ZERO);
+    }
+
+    /// The VM entry that ends an L0 handler path: `pending`, the path's
+    /// summed and not yet charged cost, lands in the same single charge
+    /// as the entry (DESIGN.md §9 rule 4).
+    #[inline(always)]
+    pub(crate) fn l0_enter(&mut self, cpu: usize, pending: Cycles) {
+        self.compute(cpu, pending + self.costs.vmentry_from_root);
         self.on_vmentry(0, cpu);
     }
 

@@ -20,6 +20,7 @@ use crate::world::World;
 use dvh_arch::apic::IcrValue;
 use dvh_arch::msr;
 use dvh_arch::vmx::{ctrl, field, ExitQualification, ExitReason};
+use dvh_arch::Cycles;
 
 /// What the owner's reason handler wants done after it ran.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,29 +97,32 @@ impl World {
             vmcs_field: matches!(reason, ExitReason::Vmread | ExitReason::Vmwrite)
                 .then_some(qual_field),
         });
-        self.compute(cpu, self.costs.vmexit_to_root);
-        self.compute(cpu, self.costs.l0_dispatch);
+        // The hardware exit and L0's dispatch.
+        let to_root = self.costs.vmexit_to_root + self.costs.l0_dispatch;
+
+        // Exits from L0's own guest are always L0's business: one
+        // native run that starts with the exit itself.
+        if from_level == 1 {
+            self.l0_handle(cpu, from_level, reason, &qual, to_root);
+            return;
+        }
+        self.compute(cpu, to_root);
 
         // EPT violations are owned by whichever hypervisor's stage is
         // missing the page (encoded in the qualification by the fault
         // path), not necessarily the VM's immediate parent.
         if reason == ExitReason::EptViolation {
             let stage = qual.raw as usize;
-            if stage == 0 || from_level == 1 {
-                self.l0_handle(cpu, from_level, reason, &qual);
+            if stage == 0 {
+                self.l0_handle(cpu, from_level, reason, &qual, Cycles::ZERO);
             } else {
                 self.reflect_to(stage, from_level, cpu, reason, qual);
             }
             return;
         }
-        // Exits from L0's own guest are always L0's business.
-        if from_level == 1 {
-            self.l0_handle(cpu, from_level, reason, &qual);
-            return;
-        }
         // Architectural rules that let L0 keep a nested exit.
         if self.l0_owns(cpu, from_level, reason, &qual) {
-            self.l0_handle(cpu, from_level, reason, &qual);
+            self.l0_handle(cpu, from_level, reason, &qual, Cycles::ZERO);
             return;
         }
         // DVH extensions (virtual hardware) get the next chance. The
@@ -194,37 +198,41 @@ impl World {
 
     /// L0's native handler for an exit it owns, including the VM entry
     /// back into the guest.
+    ///
+    /// L0 runs natively, so its straight-line work is summed from the
+    /// cost model and charged in one step, just before the next thing
+    /// that observes time (DESIGN.md §9 rule 4). `pending` is cost this
+    /// exit already incurred but has not charged yet.
     pub(crate) fn l0_handle(
         &mut self,
         cpu: usize,
         from_level: usize,
         reason: ExitReason,
         qual: &ExitQualification,
+        pending: Cycles,
     ) {
-        // Read the hot exit fields, natively.
-        for f in [
-            field::VM_EXIT_REASON,
-            field::EXIT_QUALIFICATION,
-            field::GUEST_RIP,
-            field::VM_EXIT_INSTRUCTION_LEN,
-        ] {
-            self.hv_vmread(0, cpu, f);
-        }
-        let flow = match reason {
-            ExitReason::Vmcall => {
-                self.compute(cpu, self.costs.hypercall_body);
-                HandlerFlow::Resume
-            }
-            ExitReason::MsrWrite => self.l0_wrmsr_body(cpu, from_level, qual),
-            ExitReason::MsrRead => {
-                self.compute(cpu, self.costs.vmx_insn_emulate);
-                HandlerFlow::Resume
+        // Read the four hot exit fields (reason, qualification, RIP,
+        // instruction length), natively.
+        let mut c = pending + self.costs.vmread * 4;
+        match reason {
+            ExitReason::Vmcall => c += self.costs.hypercall_body,
+            ExitReason::MsrWrite => c = self.l0_wrmsr_body(cpu, from_level, qual, c),
+            ExitReason::MsrRead
+            | ExitReason::Vmread
+            | ExitReason::Vmwrite
+            | ExitReason::Vmptrst => {
+                // Emulate the instruction; the VMX ones work against
+                // vmcs12 in memory (the value movement itself is done
+                // by the primitive that raised this exit).
+                c += self.costs.vmx_insn_emulate;
             }
             ExitReason::Hlt => {
+                self.compute(cpu, c);
                 self.l0_halt_vcpu(cpu, from_level);
-                HandlerFlow::Halted
+                return;
             }
             ExitReason::EptViolation => {
+                self.compute(cpu, c);
                 let leaf_pfn = qual.guest_physical >> 12;
                 self.populate_stage(0, cpu, leaf_pfn);
                 // The faulting instruction re-executes: enter without
@@ -233,88 +241,75 @@ impl World {
                 return;
             }
             ExitReason::EptMisconfig => {
+                self.compute(cpu, c);
                 self.l0_doorbell(cpu, from_level, qual);
-                HandlerFlow::Resume
-            }
-            ExitReason::Vmread | ExitReason::Vmwrite | ExitReason::Vmptrst => {
-                // Emulate the VMX instruction for L1 against vmcs12 in
-                // memory (the value movement itself is done by the
-                // primitive that raised this exit).
-                self.compute(cpu, self.costs.vmx_insn_emulate);
-                HandlerFlow::Resume
+                c = Cycles::ZERO;
             }
             ExitReason::Vmptrld | ExitReason::Vmclear => {
-                self.compute(cpu, self.costs.vmx_insn_emulate);
-                self.compute(cpu, self.costs.vmptrld);
-                HandlerFlow::Resume
+                c += self.costs.vmx_insn_emulate + self.costs.vmptrld;
             }
             ExitReason::Invept | ExitReason::Invvpid => {
-                self.compute(cpu, self.costs.vmx_insn_emulate);
-                self.compute(cpu, self.costs.invept);
-                HandlerFlow::Resume
+                c += self.costs.vmx_insn_emulate + self.costs.invept;
             }
             ExitReason::Vmresume | ExitReason::Vmlaunch => {
                 // Emulate the nested VM entry: merge vmcs12 into
-                // vmcs02 and launch it (KVM's prepare_vmcs02).
-                self.compute(cpu, self.costs.vmcs02_merge);
+                // vmcs02 (one native vmwrite per dirty field) and
+                // launch it (KVM's prepare_vmcs02).
                 for f in field::VMCS12_DIRTY_FIELDS {
                     let v = self.vmcs(from_level, cpu).read(*f);
-                    self.hv_vmwrite(0, cpu, *f, v);
+                    self.vmcs_mut(0, cpu).write(*f, v);
                 }
                 // The merge is where hardware's VM-entry checks run on
                 // the guest hypervisor's vmcs12.
                 self.on_vmentry(from_level, cpu);
-                self.hv_vmptrld(0, cpu);
-                self.l0_vmentry(cpu);
+                c += self.costs.vmcs02_merge
+                    + self.costs.vmwrite * field::VMCS12_DIRTY_FIELDS.len() as u64
+                    + self.costs.vmptrld;
+                self.l0_enter(cpu, c);
                 return; // entry is the resume; no RIP advance
             }
             ExitReason::ApicWrite | ExitReason::ApicAccess | ExitReason::EoiInduced => {
-                self.compute(cpu, self.costs.pi_desc_update);
-                HandlerFlow::Resume
+                c += self.costs.pi_desc_update;
             }
-            ExitReason::ExternalInterrupt => {
-                self.compute(cpu, self.costs.external_intr);
-                HandlerFlow::Resume
-            }
-            _ => HandlerFlow::Resume,
-        };
-        if flow == HandlerFlow::Resume {
-            self.hv_vmwrite(0, cpu, field::GUEST_RIP, 0);
-            self.l0_vmentry(cpu);
+            ExitReason::ExternalInterrupt => c += self.costs.external_intr,
+            _ => {}
         }
+        // Resume the guest: one native vmwrite of its RIP, then entry.
+        self.vmcs_mut(0, cpu).write(field::GUEST_RIP, 0);
+        self.l0_enter(cpu, c + self.costs.vmwrite);
     }
 
-    /// L0's `wrmsr` exit body, dispatching on the MSR.
+    /// L0's `wrmsr` exit body, dispatching on the MSR. Returns the cost
+    /// still to charge, `pending` included.
     fn l0_wrmsr_body(
         &mut self,
         cpu: usize,
         from_level: usize,
         qual: &ExitQualification,
-    ) -> HandlerFlow {
+        pending: Cycles,
+    ) -> Cycles {
         match qual.msr {
             msr::IA32_TSC_DEADLINE => {
                 // Emulate the LAPIC timer with an hrtimer, then arm
                 // the hardware timer.
-                self.compute(cpu, self.costs.rdtsc);
-                self.compute(cpu, self.costs.hrtimer_program);
-                self.hv_wrmsr(0, cpu, msr::IA32_TSC_DEADLINE, qual.msr_value);
                 if from_level == 1 {
                     self.timers[cpu].arm(qual.msr_value);
                 }
+                pending + self.costs.rdtsc + self.costs.hrtimer_program + self.costs.wrmsr
             }
             msr::IA32_X2APIC_ICR => {
                 // Send the IPI: update the destination's PI descriptor
                 // and fire the physical notification.
                 let icr = IcrValue::decode(qual.msr_value);
-                self.compute(cpu, self.costs.icr_emulate);
-                self.compute(cpu, self.costs.pi_desc_update);
+                self.compute(
+                    cpu,
+                    pending + self.costs.icr_emulate + self.costs.pi_desc_update,
+                );
                 self.send_physical_ipi(cpu, icr);
+                Cycles::ZERO
             }
-            _ => {
-                self.compute(cpu, self.costs.vmx_insn_emulate);
-            }
+            _ => pending + self.costs.vmx_insn_emulate,
         }
-        HandlerFlow::Resume
     }
 
     // ---- Reflection to guest hypervisors ---------------------------------
@@ -362,21 +357,16 @@ impl World {
         // chain, owner handler, and resume.
         let t0 = self.now(cpu);
 
-        // L0's native reflect step: decide the exit is not ours, build
-        // the synthetic exit state in vmcs12, switch to vmcs01, enter L1.
-        self.compute(cpu, self.costs.nested_exit_triage);
-        for f in [
-            field::VM_EXIT_REASON,
-            field::EXIT_QUALIFICATION,
-            field::VM_EXIT_INTR_INFO,
-            field::IDT_VECTORING_INFO,
-        ] {
-            self.hv_vmread(0, cpu, f);
-        }
-        self.compute(cpu, self.costs.nested_reflect_build);
+        // L0's native reflect step, one charge: decide the exit is not
+        // ours (triage, then read the reason, qualification, interrupt
+        // and IDT-vectoring info), build the synthetic exit state in
+        // vmcs12, switch to vmcs01, enter L1.
         self.write_synthetic_exit(1, cpu, reason, &qual);
-        self.hv_vmptrld(0, cpu);
-        self.l0_vmentry(cpu);
+        let reflect = self.costs.nested_exit_triage
+            + self.costs.vmread * 4
+            + self.costs.nested_reflect_build
+            + self.costs.vmptrld;
+        self.l0_enter(cpu, reflect);
 
         // Intermediate hypervisors forward the exit upward: each takes
         // a full world switch, triages, rebuilds exit state for the
@@ -423,8 +413,7 @@ impl World {
     /// the deepest guest again.
     pub(crate) fn vmresume_insn(&mut self, level: usize, cpu: usize) {
         if level == 0 {
-            self.hv_vmptrld(0, cpu);
-            self.l0_vmentry(cpu);
+            self.l0_enter(cpu, self.costs.vmptrld);
         } else {
             self.vmexit(
                 level,

@@ -48,20 +48,17 @@ impl World {
     /// Called when L0 owns a `hlt` exit (L1 guests, or nested guests
     /// under virtual idle).
     pub(crate) fn l0_halt_vcpu(&mut self, cpu: usize, _from_level: usize) {
-        self.compute(cpu, self.costs.vcpu_block);
+        self.compute(cpu, self.costs.vcpu_block + self.costs.hlt_enter);
         self.push_halt_level(cpu, 0);
-        self.compute(cpu, self.costs.hlt_enter);
         self.set_cpu_idle(cpu, IdleState::HaltedC1);
     }
 
-    /// Appends `level` to the halt chain of `cpu`.
-    pub(crate) fn push_halt_level(&mut self, cpu: usize, level: usize) {
-        let mut chain = self
-            .halt_chain(cpu)
-            .map(<[usize]>::to_vec)
-            .unwrap_or_default();
-        chain.push(level);
-        self.set_halt_chain(cpu, Some(chain));
+    /// Moves every vector posted in `cpu`'s PI descriptor into its
+    /// LAPIC's IRR, as virtual-interrupt delivery does.
+    pub(crate) fn sync_posted_to_lapic(&mut self, cpu: usize) {
+        for v in self.pi_desc[cpu].drain() {
+            self.lapic[cpu].accept(v);
+        }
     }
 
     fn set_cpu_idle(&mut self, cpu: usize, s: IdleState) {
@@ -102,9 +99,7 @@ impl World {
             self.stats.burned_idle_cycles += self.now(dest) - pre_sync;
             self.set_cpu_idle(dest, IdleState::Running);
             self.compute(dest, Cycles::new(50));
-            for v in self.pi_desc[dest].drain() {
-                self.lapic[dest].accept(v);
-            }
+            self.sync_posted_to_lapic(dest);
             self.leaf_service_interrupts(dest);
             self.observe(|m| m.inc(MetricKey::tagged(names::IRQ_DELIVERIES, path_tag)));
             self.trace(|w| crate::trace::TraceEvent::IrqDelivered {
@@ -121,9 +116,7 @@ impl World {
             let idle_span = self.now(dest) - pre_sync;
             self.stats.idle_cycles.observe(idle_span.as_u64());
             self.wake_chain(dest);
-            for v in self.pi_desc[dest].drain() {
-                self.lapic[dest].accept(v);
-            }
+            self.sync_posted_to_lapic(dest);
             self.leaf_service_interrupts(dest);
             self.observe(|m| m.inc(MetricKey::tagged(names::IRQ_DELIVERIES, path_tag)));
             self.trace(|w| crate::trace::TraceEvent::IrqDelivered {
@@ -140,9 +133,7 @@ impl World {
                 if notify {
                     self.compute(dest, self.costs.posted_intr_delivery);
                 }
-                for v in self.pi_desc[dest].drain() {
-                    self.lapic[dest].accept(v);
-                }
+                self.sync_posted_to_lapic(dest);
                 self.leaf_service_interrupts(dest);
                 self.stats.posted_deliveries += 1;
             }
@@ -156,9 +147,7 @@ impl World {
                     ExitQualification::default(),
                 );
                 self.compute(dest, self.costs.event_injection);
-                for v in self.pi_desc[dest].drain() {
-                    self.lapic[dest].accept(v);
-                }
+                self.sync_posted_to_lapic(dest);
                 self.leaf_service_interrupts(dest);
                 self.stats.injected_interrupts += 1;
             }
@@ -178,40 +167,32 @@ impl World {
     /// and resumes its guest — the multi-level wake cost the paper's
     /// virtual idle eliminates.
     fn wake_chain(&mut self, cpu: usize) {
-        let Some(chain) = self.halt_chain(cpu).map(<[usize]>::to_vec) else {
-            return;
-        };
-        self.set_halt_chain(cpu, None);
-        self.set_cpu_idle(cpu, IdleState::Running);
-
-        // L0 side: C1 wake latency, scheduler kick.
-        self.compute(cpu, self.costs.idle_wake);
-        self.compute(cpu, self.costs.vcpu_kick);
-
-        // Hypervisor levels that blocked, in ascending order (L0 last
-        // in the chain; strip it).
-        let mut levels: Vec<usize> = chain.into_iter().filter(|&l| l != 0).collect();
-        levels.sort_unstable();
-
-        if levels.is_empty() {
-            // The leaf was blocked directly at L0 (L1 VM, or virtual
-            // idle): re-enter it straight away.
-            self.hv_vmptrld(0, cpu);
-            self.compute(cpu, self.costs.event_injection);
-            self.l0_vmentry(cpu);
+        if !self.is_halted(cpu) {
             return;
         }
-        // Enter the lowest blocked hypervisor, then let each blocked
-        // level wake its own guest vCPU and resume — with every resume
-        // trapping down the chain.
-        self.hv_vmptrld(0, cpu);
-        self.l0_vmentry(cpu);
-        for j in levels {
-            self.compute(cpu, self.costs.vcpu_kick);
-            self.compute(cpu, self.costs.event_injection);
+        let mut chain = self.take_halt_chain(cpu);
+        self.set_cpu_idle(cpu, IdleState::Running);
+        // Hypervisor levels that blocked, in ascending order (L0, last
+        // in the chain, sorts first and is skipped below).
+        chain.sort_unstable();
+
+        // L0 side, one native charge: C1 wake latency, scheduler kick,
+        // then vmptrld and entry into the lowest blocked hypervisor —
+        // or, when the leaf was blocked directly at L0 (L1 VM, or
+        // virtual idle), event injection and entry straight into it.
+        let mut l0 = self.costs.idle_wake + self.costs.vcpu_kick + self.costs.vmptrld;
+        if chain.iter().all(|&l| l == 0) {
+            l0 += self.costs.event_injection;
+        }
+        self.l0_enter(cpu, l0);
+        // Each blocked level wakes its own guest vCPU and resumes it,
+        // with every resume trapping down the chain.
+        for &j in chain.iter().filter(|&&l| l != 0) {
+            self.compute(cpu, self.costs.vcpu_kick + self.costs.event_injection);
             self.entry_side_program(j, cpu);
             self.vmresume_insn(j, cpu);
         }
+        self.recycle_halt_chain(cpu, chain);
     }
 
     /// The terminal, physical IPI send performed by L0 (for its own

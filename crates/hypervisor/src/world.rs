@@ -72,8 +72,9 @@ pub struct World {
     vmcs: Vec<Vec<Vmcs>>,
     /// Per leaf-vCPU halt chain: hypervisor levels that blocked this
     /// vCPU, outermost (deepest level) first, always ending in 0 when
-    /// the physical CPU actually halted. `None` = running.
-    halt_chain: Vec<Option<Vec<usize>>>,
+    /// the physical CPU actually halted. Empty = running; a woken
+    /// chain is cleared in place so its capacity is reused.
+    halt_chain: Vec<Vec<usize>>,
     /// Per leaf-vCPU posted-interrupt descriptors.
     pub pi_desc: Vec<PiDescriptor>,
     /// Per leaf-vCPU LAPIC timer state (as emulated for the leaf).
@@ -259,7 +260,7 @@ impl World {
             },
             cpus: (0..v as u32).map(|i| PhysCpu::new(CpuId(i))).collect(),
             vmcs,
-            halt_chain: vec![None; v],
+            halt_chain: vec![Vec::new(); v],
             pi_desc: (0..v)
                 .map(|i| PiDescriptor::new(i as u32, PI_NOTIFICATION_VECTOR))
                 .collect(),
@@ -596,16 +597,35 @@ impl World {
 
     /// Whether the leaf vCPU on `cpu` is halted.
     pub fn is_halted(&self, cpu: usize) -> bool {
-        self.halt_chain[cpu].is_some()
+        !self.halt_chain[cpu].is_empty()
     }
 
     /// The halt chain of `cpu`, if halted.
     pub fn halt_chain(&self, cpu: usize) -> Option<&[usize]> {
-        self.halt_chain[cpu].as_deref()
+        let chain = &self.halt_chain[cpu];
+        (!chain.is_empty()).then_some(chain.as_slice())
     }
 
-    pub(crate) fn set_halt_chain(&mut self, cpu: usize, chain: Option<Vec<usize>>) {
-        self.halt_chain[cpu] = chain;
+    /// Appends `level` to the halt chain of `cpu`.
+    pub(crate) fn push_halt_level(&mut self, cpu: usize, level: usize) {
+        self.halt_chain[cpu].push(level);
+    }
+
+    /// Takes the halt chain of `cpu`, leaving it running. Hand the
+    /// chain back with [`World::recycle_halt_chain`] so its capacity
+    /// is reused by the next halt.
+    pub(crate) fn take_halt_chain(&mut self, cpu: usize) -> Vec<usize> {
+        std::mem::take(&mut self.halt_chain[cpu])
+    }
+
+    /// Returns a chain from [`World::take_halt_chain`], emptied, as the
+    /// storage of `cpu`'s next halt (unless `cpu` halted again
+    /// meanwhile).
+    pub(crate) fn recycle_halt_chain(&mut self, cpu: usize, mut chain: Vec<usize>) {
+        if self.halt_chain[cpu].is_empty() {
+            chain.clear();
+            self.halt_chain[cpu] = chain;
+        }
     }
 
     // ---- Privileged-operation primitives --------------------------------
@@ -614,15 +634,17 @@ impl World {
     // `cpu`. Level 0 is native; level >= 1 may trap. The target VMCS of
     // a hypervisor's vmread/vmwrite is its current one: vmcs[level][cpu].
 
-    /// `vmread` of `f` by the hypervisor at `level`.
-    #[inline]
+    /// `vmread` of `f` by the hypervisor at `level`. The native and
+    /// shadowed branches are inlined into every caller; only the trap
+    /// is out of line.
+    #[inline(always)]
     pub fn hv_vmread(&mut self, level: usize, cpu: usize, f: u32) -> u64 {
         if level == 0 {
             self.compute(cpu, self.costs.vmread);
         } else if level == 1 && self.profile.uses_shadowing && self.shadow.covers_read(f) {
             self.compute(cpu, self.costs.shadow_vmread);
         } else {
-            self.vmexit(
+            self.trap(
                 level,
                 cpu,
                 dvh_arch::vmx::ExitReason::Vmread,
@@ -632,15 +654,16 @@ impl World {
         self.vmcs[level][cpu].read(f)
     }
 
-    /// `vmwrite` of `f = v` by the hypervisor at `level`.
-    #[inline]
+    /// `vmwrite` of `f = v` by the hypervisor at `level`; inlined like
+    /// [`World::hv_vmread`].
+    #[inline(always)]
     pub fn hv_vmwrite(&mut self, level: usize, cpu: usize, f: u32, v: u64) {
         if level == 0 {
             self.compute(cpu, self.costs.vmwrite);
         } else if level == 1 && self.profile.uses_shadowing && self.shadow.covers_write(f) {
             self.compute(cpu, self.costs.shadow_vmwrite);
         } else {
-            self.vmexit(
+            self.trap(
                 level,
                 cpu,
                 dvh_arch::vmx::ExitReason::Vmwrite,
@@ -648,6 +671,19 @@ impl World {
             );
         }
         self.vmcs[level][cpu].write(f, v);
+    }
+
+    /// The trapping branch of the inlined primitives, kept out of line
+    /// so the exit engine's recursion is not inlined into every access.
+    #[inline(never)]
+    fn trap(
+        &mut self,
+        level: usize,
+        cpu: usize,
+        reason: dvh_arch::vmx::ExitReason,
+        qual: dvh_arch::vmx::ExitQualification,
+    ) {
+        self.vmexit(level, cpu, reason, qual);
     }
 
     /// `vmptrld` by the hypervisor at `level`.

@@ -57,3 +57,37 @@ fn dense_engine_matches_pinned_pre_optimization_runstats() {
     let violations = dvh_checker::harness::check_pinned_fixture();
     assert!(violations.is_empty(), "{violations:#?}");
 }
+
+#[test]
+fn l0_native_charges_keep_the_trace_timeline() {
+    // L0's handler paths are charged as single summed steps; the trace
+    // (every event, every timestamp) must be the one the per-primitive
+    // engine recorded. Digests captured before the change.
+    use dvh_checker::harness::{exercise, fnv1a, FNV_OFFSET, TRACE_CAPACITY};
+    use dvh_core::{Machine, MachineConfig};
+    use dvh_hypervisor::trace_export;
+    let cases = [
+        (
+            "l3/nested",
+            MachineConfig::baseline(3),
+            0xafd4_008a_b302_f5fa,
+            7_666,
+        ),
+        (
+            "fig10/xen-dvh-vp",
+            MachineConfig::dvh_vp(2).with_xen_guest(),
+            0xbd5a_c913_e8b5_8fa4,
+            552,
+        ),
+    ];
+    for (name, config, digest, events) in cases {
+        let mut m = Machine::build(config);
+        m.world_mut().enable_tracing(TRACE_CAPACITY);
+        exercise(&mut m);
+        let w = m.world();
+        assert_eq!(w.trace_dropped(), 0, "{name}");
+        let jsonl = trace_export::jsonl(w.trace_events());
+        let got = (fnv1a(FNV_OFFSET, jsonl.as_bytes()), w.trace_events().len());
+        assert_eq!(got, (digest, events), "{name}: (digest, events)");
+    }
+}
