@@ -37,8 +37,6 @@ pub struct CostModel {
     pub vmwrite: Cycles,
     /// A native `vmptrld` (switch current VMCS).
     pub vmptrld: Cycles,
-    /// A native `vmclear`.
-    pub vmclear: Cycles,
     /// A native `invept`/`invvpid` TLB shootdown of combined mappings.
     pub invept: Cycles,
 
@@ -50,8 +48,6 @@ pub struct CostModel {
     pub shadow_vmwrite: Cycles,
 
     // ---- Ordinary privileged instructions -----------------------------
-    /// A native `rdmsr`.
-    pub rdmsr: Cycles,
     /// A native `wrmsr`.
     pub wrmsr: Cycles,
     /// Reading the TSC (`rdtsc`), never trapped in our configurations.
@@ -144,13 +140,11 @@ impl CostModel {
             vmread: Cycles::new(25),
             vmwrite: Cycles::new(25),
             vmptrld: Cycles::new(130),
-            vmclear: Cycles::new(100),
             invept: Cycles::new(250),
 
             shadow_vmread: Cycles::new(45),
             shadow_vmwrite: Cycles::new(55),
 
-            rdmsr: Cycles::new(50),
             wrmsr: Cycles::new(60),
             rdtsc: Cycles::new(20),
             hlt_enter: Cycles::new(150),
@@ -216,11 +210,9 @@ impl CostModel {
             vmread: c,
             vmwrite: c,
             vmptrld: c,
-            vmclear: c,
             invept: c,
             shadow_vmread: c,
             shadow_vmwrite: c,
-            rdmsr: c,
             wrmsr: c,
             rdtsc: c,
             hlt_enter: c,

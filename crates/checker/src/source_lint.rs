@@ -18,8 +18,10 @@
 //!   on a bad level instead of reporting it (allowed only in
 //!   `world.rs`, whose accessors document their bounds).
 //! - `clone-on-exit-path` — `.clone()` or `to_vec` (called or passed
-//!   as `<[T]>::to_vec`) in non-test
-//!   `exits.rs` or `runtime.rs` code. The exit engine and the
+//!   as `<[T]>::to_vec`) in non-test code of `hypervisor/src/exits.rs`,
+//!   `hypervisor/src/runtime.rs`, or the DVH intercept handlers
+//!   `core/src/vtimer.rs` and `core/src/vipi.rs` (which run inside
+//!   `vmexit` on every DVH operation). The exit engine and the
 //!   interrupt-delivery runtime run millions of times per sweep and are
 //!   allocation-free by design (dense VMCS slots, index-iterated
 //!   profile lists, halt chains edited in place); a copy on these paths
@@ -97,8 +99,10 @@ pub fn lint_file_text(display_path: &str, text: &str) -> Vec<Violation> {
     let normalized = display_path.replace('\\', "/");
     let in_hypervisor = normalized.contains("hypervisor/src");
     let is_world = in_hypervisor && normalized.ends_with("world.rs");
-    let is_exit_path =
-        in_hypervisor && (normalized.ends_with("exits.rs") || normalized.ends_with("runtime.rs"));
+    let is_exit_path = (in_hypervisor
+        && (normalized.ends_with("exits.rs") || normalized.ends_with("runtime.rs")))
+        || (normalized.contains("core/src")
+            && (normalized.ends_with("vtimer.rs") || normalized.ends_with("vipi.rs")));
     // Built at runtime so the linter's own source never matches.
     let vmcs_needle = format!("{}{}", ".vmcs", "[");
     let copy_needles = [
@@ -251,6 +255,22 @@ mod tests {
             ".clone", "()"
         );
         assert!(lint_file_text("crates/hypervisor/src/exits.rs", &test_only).is_empty());
+    }
+
+    #[test]
+    fn clone_in_dvh_intercept_flagged() {
+        let code = format!(
+            "fn f(&mut self) {{\n    let t = self.vcimt{}{};\n}}\n",
+            ".clone", "()"
+        );
+        for path in ["crates/core/src/vtimer.rs", "crates/core/src/vipi.rs"] {
+            let vs = lint_file_text(path, &code);
+            assert_eq!(vs.len(), 1, "{path}: {vs:?}");
+            assert_eq!(vs[0].rule, "clone-on-exit-path");
+            assert_eq!(vs[0].location, format!("{path}:2"));
+        }
+        // The rest of dvh-core is not on the exit path.
+        assert!(lint_file_text("crates/core/src/machine.rs", &code).is_empty());
     }
 
     #[test]

@@ -113,30 +113,35 @@ impl L0Extension for VirtualIpis {
         }
         let icr = IcrValue::decode(qual.msr_value);
         // The host can only resolve the destination if the guest
-        // hypervisor programmed the VCIMT for it.
-        let Some(pi_desc) = self.vcimt.lookup(icr.dest as usize) else {
+        // hypervisor programmed the VCIMT for it, with a PI descriptor
+        // that exists: the table is guest-hypervisor data.
+        let Some(dest_cpu) = self
+            .vcimt
+            .lookup(icr.dest as usize)
+            .and_then(|d| w.pi_desc.get(d as usize))
+            .map(|d| d.ndst as usize)
+        else {
             return Intercept::NotHandled;
         };
-        // Confirm enablement (native vmread of merged controls) and
-        // read the VCIMTAR + table entry (guest-memory walks, Fig. 5
-        // step 2).
-        w.hv_vmread(0, cpu, field::DVH_EXEC_CONTROLS);
-        w.hv_vmread(0, cpu, field::DVH_VCIMTAR);
-        w.compute(cpu, w.costs.walk_mem_ref * 3);
-        w.compute(cpu, dvh_arch::Cycles::new(800)); // DVH bookkeeping
-
-        // Emulate the ICR write: update the PI descriptor named by the
-        // table and notify its physical CPU.
-        w.compute(cpu, w.costs.icr_emulate);
-        w.compute(cpu, w.costs.pi_desc_update);
-        let dest_cpu = w.pi_desc[pi_desc as usize].ndst as usize;
-        w.compute(cpu, w.costs.ipi_send);
+        // L0 runs natively: everything up to the notification is one
+        // charge, landed before the delivery reads the clock (DESIGN.md
+        // §9 rule 4).
+        let costs = &w.costs;
+        let c = costs.vmread * 2 // merged controls and VCIMTAR
+            + costs.walk_mem_ref * 3 // VCIMTAR + table entry (Fig. 5 step 2)
+            + dvh_arch::Cycles::new(800) // DVH bookkeeping
+            // Emulate the ICR write: update the PI descriptor named by
+            // the table and notify its physical CPU.
+            + costs.icr_emulate
+            + costs.pi_desc_update
+            + costs.ipi_send;
+        w.compute(cpu, c);
         let t = w.now(cpu);
         w.deliver_leaf_interrupt(dest_cpu, icr.vector, t, IrqPath::PostedDirect);
 
         // Advance RIP and re-enter the nested VM.
-        w.hv_vmwrite(0, cpu, field::GUEST_RIP, 0);
-        w.l0_vmentry(cpu);
+        w.vmcs_mut(0, cpu).write(field::GUEST_RIP, 0);
+        w.l0_enter(cpu, w.costs.vmwrite);
         Intercept::Handled
     }
 }
@@ -197,6 +202,20 @@ mod tests {
         ext.vcimt = Vcimt::new(0); // nothing mapped
         w.register_extension(Box::new(ext));
         w.guest_send_ipi(0, 1, 0x55);
+        assert!(w.stats.total_interventions() > 0);
+    }
+
+    #[test]
+    fn vcimt_entry_without_a_pi_descriptor_is_reflected() {
+        // The VCIMT is guest-hypervisor data: an entry naming a PI
+        // descriptor L0 does not have must be declined, not followed.
+        let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
+        enable_everywhere(&mut w, ctrl::dvh::VIRTUAL_IPI);
+        let mut ext = VirtualIpis::new(w.num_cpus());
+        ext.vcimt.set(1, 99);
+        w.register_extension(Box::new(ext));
+        w.guest_send_ipi(0, 1, 0x55);
+        assert!(w.stats.dvh_intercepts.is_empty());
         assert!(w.stats.total_interventions() > 0);
     }
 

@@ -77,35 +77,33 @@ impl L0Extension for VirtualTimers {
             }
             return Intercept::NotHandled;
         }
-        // Confirm the enable bit in the merged execution controls
-        // (one native vmread) and locate the nested state in memory.
-        w.hv_vmread(0, cpu, field::DVH_EXEC_CONTROLS);
-        w.compute(cpu, w.costs.walk_mem_ref); // vmcs12 lookup
+        // L0 runs natively: the handler's cost is summed and charged
+        // with the VM entry that ends it (DESIGN.md §9 rule 4).
+        let costs = &w.costs;
+        let c = costs.vmread // confirm the enable bit in the merged controls
+            + costs.walk_mem_ref // vmcs12 lookup
+            + costs.rdtsc
+            + dvh_arch::Cycles::new(100) // combine the TSC offsets
+            + costs.walk_mem_ref // fetch the programmed vector
+            + costs.pi_desc_update // set up direct delivery
+            + costs.hrtimer_program // program the emulation backend
+            + costs.wrmsr // arm the hardware timer
+            + dvh_arch::Cycles::new(400) // DVH bookkeeping
+            + costs.vmwrite; // advance RIP
 
         // Account for the time-base difference: the combined TSC
         // offset is already maintained in the VMCS for the nested VM
-        // (§3.2), so this is arithmetic, not more vmreads.
-        w.compute(cpu, w.costs.rdtsc);
+        // (§3.2), so this is arithmetic, not more vmreads. Record the
+        // guest-programmed deadline in the virtual timer.
         let offset = w.combined_tsc_offset(from_level - 1, cpu);
-        w.compute(cpu, dvh_arch::Cycles::new(100));
-
-        // Record the guest-programmed deadline in the virtual timer
-        // and the vector for direct posted delivery later.
         let deadline = qual.msr_value.wrapping_add(offset);
         w.vmcs_mut(from_level - 1, cpu)
             .write(field::DVH_VTIMER_DEADLINE, deadline);
         w.timers[cpu].arm(qual.msr_value);
-        w.compute(cpu, w.costs.walk_mem_ref); // fetch programmed vector
-        w.compute(cpu, w.costs.pi_desc_update); // set up direct delivery
-
-        // Program the emulation backend (hrtimer) and the hardware.
-        w.compute(cpu, w.costs.hrtimer_program);
-        w.hv_wrmsr(0, cpu, msr::IA32_TSC_DEADLINE, deadline);
-        w.compute(cpu, dvh_arch::Cycles::new(400)); // DVH bookkeeping
 
         // Advance RIP and re-enter the nested VM directly.
-        w.hv_vmwrite(0, cpu, field::GUEST_RIP, 0);
-        w.l0_vmentry(cpu);
+        w.vmcs_mut(0, cpu).write(field::GUEST_RIP, 0);
+        w.l0_enter(cpu, c);
         Intercept::Handled
     }
 }

@@ -3,10 +3,12 @@
 //! Real hardware validates a VMCS at every VM entry (Intel SDM Vol. 3
 //! §26) and refuses inconsistent entries. The simulator models entries
 //! as cycle charges, so the equivalent is a *check hook*: every path
-//! that simulates a VM entry funnels through [`World::l0_vmentry`] (for
-//! L0's native entries) or [`World::on_vmentry`] (for emulated nested
-//! entries), and when checking is enabled each entered VMCS is run
-//! through [`dvh_arch::vmx::validate::validate_vmentry`].
+//! that simulates a VM entry funnels through [`World::l0_enter`] (L0's
+//! entry into vmcs01, the only kind of entry the hardware performs) or
+//! [`World::on_vmentry`] (the checks L0 runs on a guest hypervisor's
+//! VMCS when it emulates that hypervisor's nested entry), and when
+//! checking is enabled each entered VMCS is run through
+//! [`dvh_arch::vmx::validate::validate_vmentry`].
 //!
 //! Checking is off by default and costs one branch per entry. Enable
 //! it with [`World::enable_vmentry_checks`]; collected findings are
@@ -83,19 +85,14 @@ impl World {
             }));
     }
 
-    /// L0's native VM entry on `cpu`: charges the entry cost and (when
-    /// enabled) validates vmcs01. Every simulated entry from root mode
-    /// goes through here or [`World::l0_enter`] instead of charging
+    /// L0's VM entry on `cpu`, ending an L0 handler path: `pending`,
+    /// the path's summed and not yet charged cost, lands in the same
+    /// single charge as the entry (DESIGN.md §9 rule 4), and vmcs01 is
+    /// validated when checking is enabled. Every simulated entry from
+    /// root mode goes through here instead of charging
     /// `vmentry_from_root` raw, so the consistency checker sees them all.
-    pub fn l0_vmentry(&mut self, cpu: usize) {
-        self.l0_enter(cpu, Cycles::ZERO);
-    }
-
-    /// The VM entry that ends an L0 handler path: `pending`, the path's
-    /// summed and not yet charged cost, lands in the same single charge
-    /// as the entry (DESIGN.md §9 rule 4).
     #[inline(always)]
-    pub(crate) fn l0_enter(&mut self, cpu: usize, pending: Cycles) {
+    pub fn l0_enter(&mut self, cpu: usize, pending: Cycles) {
         self.compute(cpu, pending + self.costs.vmentry_from_root);
         self.on_vmentry(0, cpu);
     }

@@ -232,19 +232,14 @@ impl World {
                 return;
             }
             ExitReason::EptViolation => {
-                self.compute(cpu, c);
-                let leaf_pfn = qual.guest_physical >> 12;
-                self.populate_stage(0, cpu, leaf_pfn);
-                // The faulting instruction re-executes: enter without
-                // advancing RIP.
-                self.l0_vmentry(cpu);
+                // L0's own stage lacks the page: back it, then extend
+                // the merged shadow EPT for deep guests. The faulting
+                // instruction re-executes: enter without advancing RIP.
+                c += self.map_stage_page(0, qual.guest_physical >> 12) + Cycles::new(600);
+                self.l0_enter(cpu, c);
                 return;
             }
-            ExitReason::EptMisconfig => {
-                self.compute(cpu, c);
-                self.l0_doorbell(cpu, from_level, qual);
-                c = Cycles::ZERO;
-            }
+            ExitReason::EptMisconfig => c += self.l0_doorbell(from_level),
             ExitReason::Vmptrld | ExitReason::Vmclear => {
                 c += self.costs.vmx_insn_emulate + self.costs.vmptrld;
             }
@@ -407,21 +402,16 @@ impl World {
         m.write(field::GUEST_PHYSICAL_ADDRESS, qual.guest_physical);
     }
 
-    /// The `vmresume` instruction executed by the hypervisor at
-    /// `level`: native for L0, a trapped-and-emulated VMX instruction
-    /// for everyone else. After it completes, the hardware is running
-    /// the deepest guest again.
+    /// The `vmresume` instruction executed by the guest hypervisor at
+    /// `level` (>= 1): a trapped-and-emulated VMX instruction. After it
+    /// completes, the hardware is running the deepest guest again.
     pub(crate) fn vmresume_insn(&mut self, level: usize, cpu: usize) {
-        if level == 0 {
-            self.l0_enter(cpu, self.costs.vmptrld);
-        } else {
-            self.vmexit(
-                level,
-                cpu,
-                ExitReason::Vmresume,
-                ExitQualification::default(),
-            );
-        }
+        self.vmexit(
+            level,
+            cpu,
+            ExitReason::Vmresume,
+            ExitQualification::default(),
+        );
     }
 
     /// The exit-side world-switch program of the hypervisor at

@@ -31,9 +31,10 @@ pub trait L0Extension {
     fn name(&self) -> &'static str;
 
     /// Offers an exit to the extension. Implementations that claim the
-    /// exit must charge all handling costs (via the [`World`]
-    /// primitives) *and* the final VM entry, then return
-    /// [`Intercept::Handled`].
+    /// exit run natively at L0: they sum their handling costs, charge
+    /// them before anything that reads the clock or together with the
+    /// final VM entry through [`World::l0_enter`], then return
+    /// [`Intercept::Handled`] (DESIGN.md §9 rule 4).
     fn try_intercept(
         &mut self,
         w: &mut World,

@@ -268,29 +268,25 @@ impl World {
 
     /// L0's doorbell handler: the kick reached the host's own virtio
     /// device (plain L1 virtio, the last cascade hop, or a
-    /// virtual-passthrough kick from a nested VM).
-    pub(crate) fn l0_doorbell(&mut self, cpu: usize, from_level: usize, _qual: &ExitQualification) {
-        if from_level >= 2 {
-            if self.mmio_doorbell_cached {
-                // MMIO fast path: the GPA→device resolution is cached;
-                // no EPT walk and no instruction decode.
-                self.compute(cpu, Cycles::new(800));
-            } else {
-                // Virtual-passthrough from a nested VM, slow path: L0
-                // walks the guest's EPT hierarchy to confirm the fault
-                // is a genuine MMIO access and not a missing mapping —
-                // the extra cost the paper measures in DevNotify-with-
-                // DVH (Table 3).
-                self.compute(cpu, self.costs.nested_walk_cost(4, 4));
-                self.compute(cpu, self.costs.mmio_decode);
-                self.compute(cpu, self.costs.mmio_bus_lookup);
-                self.mmio_doorbell_cached = true;
-            }
+    /// virtual-passthrough kick from a nested VM). Returns its cost,
+    /// which the caller charges with the VM entry that ends the exit
+    /// (DESIGN.md §9 rule 4).
+    pub(crate) fn l0_doorbell(&mut self, from_level: usize) -> Cycles {
+        let decode = if from_level < 2 {
+            self.costs.mmio_decode + self.costs.mmio_bus_lookup
+        } else if self.mmio_doorbell_cached {
+            // MMIO fast path: the GPA→device resolution is cached; no
+            // EPT walk and no instruction decode.
+            Cycles::new(800)
         } else {
-            self.compute(cpu, self.costs.mmio_decode);
-            self.compute(cpu, self.costs.mmio_bus_lookup);
-        }
-        self.compute(cpu, self.costs.ioeventfd_signal);
+            // Virtual-passthrough from a nested VM, slow path: L0 walks
+            // the guest's EPT hierarchy to confirm the fault is a
+            // genuine MMIO access and not a missing mapping — the extra
+            // cost the paper measures in DevNotify-with-DVH (Table 3).
+            self.mmio_doorbell_cached = true;
+            self.costs.nested_walk_cost(4, 4) + self.costs.mmio_decode + self.costs.mmio_bus_lookup
+        };
+        let c = decode + self.costs.ioeventfd_signal;
         if let Some(bytes) = self.pending_blk_bytes {
             // Block backend: complete the queued request, copy the
             // payload, and submit to the (cache=none) host storage
@@ -300,16 +296,14 @@ impl World {
                 self.blk.queue.push_used(head, 0);
                 self.blk.queue.interrupt_sent();
             }
-            self.compute(cpu, self.costs.copy_cost(bytes));
-            self.compute(cpu, Cycles::new(800));
-            return;
+            return c + self.costs.copy_cost(bytes) + Cycles::new(800);
         }
-        self.l0_vhost_service_tx(cpu);
+        c + self.l0_vhost_service_tx()
     }
 
     /// L0's vhost backend drains the TX queue of its device and puts
-    /// frames on the wire.
-    fn l0_vhost_service_tx(&mut self, cpu: usize) {
+    /// frames on the wire. Returns the copy and per-frame cost.
+    fn l0_vhost_service_tx(&mut self) -> Cycles {
         let mut q = std::mem::replace(
             &mut self.virtio[0].tx,
             dvh_devices::virtio::queue::VirtQueue::new(1),
@@ -331,13 +325,15 @@ impl World {
             }
         };
         self.virtio[0].tx = q;
+        let mut c = Cycles::ZERO;
         for f in &frames {
-            self.compute(cpu, self.costs.copy_cost(f.len() as u64));
+            c += self.costs.copy_cost(f.len() as u64);
         }
-        self.compute(cpu, Cycles::new(150) * frames.len() as u64);
+        c += Cycles::new(150) * frames.len() as u64;
         for f in frames {
             self.nic.transmit(0, f);
         }
+        c
     }
 
     /// A cascade hypervisor's doorbell handler (`owner` ≥ 1): its vhost

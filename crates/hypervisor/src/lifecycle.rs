@@ -50,8 +50,7 @@ impl World {
         }
         self.paused[cpu] = false;
         self.pi_desc[cpu].sn = false;
-        self.compute(cpu, self.costs.vcpu_kick);
-        self.l0_vmentry(cpu);
+        self.l0_enter(cpu, self.costs.vcpu_kick);
         self.sync_posted_to_lapic(cpu);
         self.service_after_resume(cpu);
     }

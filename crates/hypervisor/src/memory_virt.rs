@@ -64,29 +64,31 @@ impl World {
         }
     }
 
-    /// The EPT-violation handler body run by the hypervisor owning the
-    /// missing stage (`stage`): allocate a backing page and install
-    /// the mapping. Called from the exit engine; the caller has
-    /// already charged the reflection path if `stage >= 1`.
+    /// The EPT-violation handler body run by the guest hypervisor
+    /// owning the missing stage (`stage` >= 1): allocate a backing page
+    /// and install the mapping. Called from the exit engine after the
+    /// reflection path is charged.
     pub(crate) fn populate_stage(&mut self, stage: usize, cpu: usize, leaf_pfn: u64) {
+        let c = self.map_stage_page(stage, leaf_pfn);
+        self.compute(cpu, c);
+        // A guest hypervisor writes its page tables (plain memory) but
+        // must invalidate the TLB, which traps.
+        self.hv_invept(stage, cpu);
+    }
+
+    /// Installs the mapping of leaf page `leaf_pfn` in EPT stage
+    /// `stage` and returns the cost of doing so: page allocation plus
+    /// the page-table construction software path. The caller charges it.
+    pub(crate) fn map_stage_page(&mut self, stage: usize, leaf_pfn: u64) -> Cycles {
         let n = self.config.levels;
         let pfn_in = leaf_pfn + (n - 1 - stage) as u64 * STAGE_PFN_OFFSET;
         let pfn_out = pfn_in + STAGE_PFN_OFFSET;
-        // Page allocation + page-table construction software path.
-        self.compute(cpu, Cycles::new(1_800));
         self.ept_stage_mut(stage).map_ram(
             Gpa::from_pfn(pfn_in),
             dvh_memory::Hpa::from_pfn(pfn_out),
             1,
         );
-        if stage == 0 {
-            // L0 also extends the merged shadow EPT for deep guests.
-            self.compute(cpu, Cycles::new(600));
-        } else {
-            // A guest hypervisor writes its page tables (plain memory)
-            // but must invalidate the TLB, which traps.
-            self.hv_invept(stage, cpu);
-        }
+        Cycles::new(1_800)
     }
 
     /// Populates all stages for `pages` leaf pages starting at

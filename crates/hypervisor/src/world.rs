@@ -630,18 +630,17 @@ impl World {
 
     // ---- Privileged-operation primitives --------------------------------
     //
-    // Each primitive is executed *by the hypervisor at `level`* on
-    // `cpu`. Level 0 is native; level >= 1 may trap. The target VMCS of
+    // Each primitive is executed *by the guest hypervisor at `level`*
+    // (>= 1) on `cpu` and may trap. L0 runs natively and never calls
+    // them: its handlers sum their costs and charge once (DESIGN.md §9
+    // rule 4), and `vmexit` rejects a level-0 trap. The target VMCS of
     // a hypervisor's vmread/vmwrite is its current one: vmcs[level][cpu].
 
-    /// `vmread` of `f` by the hypervisor at `level`. The native and
-    /// shadowed branches are inlined into every caller; only the trap
-    /// is out of line.
+    /// `vmread` of `f` by the hypervisor at `level`. The shadowed branch
+    /// is inlined into every caller; only the trap is out of line.
     #[inline(always)]
     pub fn hv_vmread(&mut self, level: usize, cpu: usize, f: u32) -> u64 {
-        if level == 0 {
-            self.compute(cpu, self.costs.vmread);
-        } else if level == 1 && self.profile.uses_shadowing && self.shadow.covers_read(f) {
+        if level == 1 && self.profile.uses_shadowing && self.shadow.covers_read(f) {
             self.compute(cpu, self.costs.shadow_vmread);
         } else {
             self.trap(
@@ -658,9 +657,7 @@ impl World {
     /// [`World::hv_vmread`].
     #[inline(always)]
     pub fn hv_vmwrite(&mut self, level: usize, cpu: usize, f: u32, v: u64) {
-        if level == 0 {
-            self.compute(cpu, self.costs.vmwrite);
-        } else if level == 1 && self.profile.uses_shadowing && self.shadow.covers_write(f) {
+        if level == 1 && self.profile.uses_shadowing && self.shadow.covers_write(f) {
             self.compute(cpu, self.costs.shadow_vmwrite);
         } else {
             self.trap(
@@ -688,64 +685,48 @@ impl World {
 
     /// `vmptrld` by the hypervisor at `level`.
     pub fn hv_vmptrld(&mut self, level: usize, cpu: usize) {
-        if level == 0 {
-            self.compute(cpu, self.costs.vmptrld);
-        } else {
-            self.vmexit(
-                level,
-                cpu,
-                dvh_arch::vmx::ExitReason::Vmptrld,
-                dvh_arch::vmx::ExitQualification::default(),
-            );
-        }
+        self.vmexit(
+            level,
+            cpu,
+            dvh_arch::vmx::ExitReason::Vmptrld,
+            dvh_arch::vmx::ExitQualification::default(),
+        );
     }
 
     /// `invept` by the hypervisor at `level`.
     pub fn hv_invept(&mut self, level: usize, cpu: usize) {
-        if level == 0 {
-            self.compute(cpu, self.costs.invept);
-        } else {
-            self.vmexit(
-                level,
-                cpu,
-                dvh_arch::vmx::ExitReason::Invept,
-                dvh_arch::vmx::ExitQualification::default(),
-            );
-        }
+        self.vmexit(
+            level,
+            cpu,
+            dvh_arch::vmx::ExitReason::Invept,
+            dvh_arch::vmx::ExitQualification::default(),
+        );
     }
 
     /// `rdmsr` by the hypervisor at `level` (of a trapped MSR).
     pub fn hv_rdmsr(&mut self, level: usize, cpu: usize, msr: u32) {
-        if level == 0 {
-            self.compute(cpu, self.costs.rdmsr);
-        } else {
-            self.vmexit(
-                level,
-                cpu,
-                dvh_arch::vmx::ExitReason::MsrRead,
-                dvh_arch::vmx::ExitQualification {
-                    msr,
-                    ..Default::default()
-                },
-            );
-        }
+        self.vmexit(
+            level,
+            cpu,
+            dvh_arch::vmx::ExitReason::MsrRead,
+            dvh_arch::vmx::ExitQualification {
+                msr,
+                ..Default::default()
+            },
+        );
     }
 
-    /// `wrmsr` by the hypervisor at `level` (of a trapped MSR).
-    ///
-    /// For level 0 this is the terminal hardware write (e.g. arming the
-    /// real LAPIC timer, sending the real posted-interrupt IPI).
+    /// `wrmsr` by the hypervisor at `level` (of a trapped MSR). L0's
+    /// terminal hardware writes (arming the real LAPIC timer, sending
+    /// the real posted-interrupt IPI) are part of its summed handler
+    /// charges instead.
     pub fn hv_wrmsr(&mut self, level: usize, cpu: usize, msr: u32, value: u64) {
-        if level == 0 {
-            self.compute(cpu, self.costs.wrmsr);
-        } else {
-            self.vmexit(
-                level,
-                cpu,
-                dvh_arch::vmx::ExitReason::MsrWrite,
-                dvh_arch::vmx::ExitQualification::msr_write(msr, value),
-            );
-        }
+        self.vmexit(
+            level,
+            cpu,
+            dvh_arch::vmx::ExitReason::MsrWrite,
+            dvh_arch::vmx::ExitQualification::msr_write(msr, value),
+        );
     }
 }
 
@@ -810,14 +791,12 @@ mod tests {
     }
 
     #[test]
-    fn l0_vmread_is_cheap_and_correct() {
+    #[should_panic(expected = "vmexit from level 0")]
+    fn l0_never_traps_through_a_primitive() {
+        // L0 charges its own work; a level-0 primitive reaches the exit
+        // engine's level check instead of being charged silently.
         let mut w = world(2);
-        w.vmcs_mut(0, 0).write(field::GUEST_RIP, 77);
-        let t0 = w.now(0);
-        let v = w.hv_vmread(0, 0, field::GUEST_RIP);
-        assert_eq!(v, 77);
-        assert_eq!(w.now(0) - t0, w.costs.vmread);
-        assert_eq!(w.stats.total_exits(), 0);
+        w.hv_vmread(0, 0, field::GUEST_RIP);
     }
 
     #[test]

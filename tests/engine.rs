@@ -79,6 +79,18 @@ fn l0_native_charges_keep_the_trace_timeline() {
             0xbd5a_c913_e8b5_8fa4,
             552,
         ),
+        (
+            "l3/nested-dvh",
+            MachineConfig::dvh(3),
+            0x3ec6_baa8_9de7_b288,
+            1_194,
+        ),
+        (
+            "l2/nested-dvh",
+            MachineConfig::dvh(2),
+            0x27dc_b02f_9f99_26ad,
+            74,
+        ),
     ];
     for (name, config, digest, events) in cases {
         let mut m = Machine::build(config);
