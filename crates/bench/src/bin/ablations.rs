@@ -18,6 +18,7 @@
 
 use dvh_arch::costs::CostModel;
 use dvh_core::{Machine, MachineConfig};
+use dvh_hypervisor::profile::HvProfile;
 use dvh_hypervisor::{World, WorldConfig};
 
 fn main() {
@@ -63,10 +64,12 @@ fn main() {
 
     println!("\n== Ablation 3: guest hypervisor world-switch footprint ==");
     for extra_cold in [0usize, 4, 8] {
-        let mut w = World::new(CostModel::calibrated(), WorldConfig::baseline(2));
-        for _ in 0..extra_cold {
-            w.profile.cold_reads.push(dvh_arch::vmx::field::HOST_RIP);
-        }
+        let mut profile = HvProfile::kvm();
+        profile.cold_reads.extend(std::iter::repeat_n(
+            dvh_arch::vmx::field::HOST_RIP,
+            extra_cold,
+        ));
+        let mut w = World::with_profile(CostModel::calibrated(), WorldConfig::baseline(2), profile);
         let c = w.guest_hypercall(0).as_u64();
         println!("  +{extra_cold} cold VMCS reads per exit: L2 hypercall = {c:>7} cycles");
     }

@@ -11,7 +11,7 @@ fn main() {
         "{:<8} {:>14} {:>14} {:>14} {:>10}",
         "levels", "Hypercall", "ProgramTimer", "Timer+DVH", "growth"
     );
-    let rows = recursion_experiment(5);
+    let rows = recursion_experiment(8);
     let mut prev = None;
     for r in &rows {
         let growth = prev

@@ -19,7 +19,8 @@
 //!   `world.rs`, whose accessors document their bounds).
 //! - `clone-on-exit-path` — `.clone()` or `to_vec` (called or passed
 //!   as `<[T]>::to_vec`) in non-test code of `hypervisor/src/exits.rs`,
-//!   `hypervisor/src/runtime.rs`, or the DVH intercept handlers
+//!   `hypervisor/src/runtime.rs`, `hypervisor/src/memo.rs` (whose
+//!   replay stands in for most exits), or the DVH intercept handlers
 //!   `core/src/vtimer.rs` and `core/src/vipi.rs` (which run inside
 //!   `vmexit` on every DVH operation). The exit engine and the
 //!   interrupt-delivery runtime run millions of times per sweep and are
@@ -100,7 +101,9 @@ pub fn lint_file_text(display_path: &str, text: &str) -> Vec<Violation> {
     let in_hypervisor = normalized.contains("hypervisor/src");
     let is_world = in_hypervisor && normalized.ends_with("world.rs");
     let is_exit_path = (in_hypervisor
-        && (normalized.ends_with("exits.rs") || normalized.ends_with("runtime.rs")))
+        && (normalized.ends_with("exits.rs")
+            || normalized.ends_with("runtime.rs")
+            || normalized.ends_with("memo.rs")))
         || (normalized.contains("core/src")
             && (normalized.ends_with("vtimer.rs") || normalized.ends_with("vipi.rs")));
     // Built at runtime so the linter's own source never matches.
@@ -255,6 +258,20 @@ mod tests {
             ".clone", "()"
         );
         assert!(lint_file_text("crates/hypervisor/src/exits.rs", &test_only).is_empty());
+    }
+
+    #[test]
+    fn clone_in_exit_memo_flagged() {
+        // A memo hit replaces a whole subtree of exits: a copy there
+        // is an allocation on the hottest path.
+        let code = format!(
+            "fn replay(&mut self) {{\n    let w = self.memo.writes{}{};\n}}\n",
+            ".clone", "()"
+        );
+        let vs = lint_file_text("crates/hypervisor/src/memo.rs", &code);
+        assert_eq!(vs.len(), 1, "{vs:?}");
+        assert_eq!(vs[0].rule, "clone-on-exit-path");
+        assert_eq!(vs[0].location, "crates/hypervisor/src/memo.rs:2");
     }
 
     #[test]

@@ -126,7 +126,7 @@ impl L0Extension for VirtualIpis {
         // L0 runs natively: everything up to the notification is one
         // charge, landed before the delivery reads the clock (DESIGN.md
         // §9 rule 4).
-        let costs = &w.costs;
+        let costs = w.costs();
         let c = costs.vmread * 2 // merged controls and VCIMTAR
             + costs.walk_mem_ref * 3 // VCIMTAR + table entry (Fig. 5 step 2)
             + dvh_arch::Cycles::new(800) // DVH bookkeeping
@@ -141,7 +141,7 @@ impl L0Extension for VirtualIpis {
 
         // Advance RIP and re-enter the nested VM.
         w.vmcs_mut(0, cpu).write(field::GUEST_RIP, 0);
-        w.l0_enter(cpu, w.costs.vmwrite);
+        w.l0_enter(cpu, w.costs().vmwrite);
         Intercept::Handled
     }
 }

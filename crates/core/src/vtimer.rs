@@ -79,7 +79,7 @@ impl L0Extension for VirtualTimers {
         }
         // L0 runs natively: the handler's cost is summed and charged
         // with the VM entry that ends it (DESIGN.md §9 rule 4).
-        let costs = &w.costs;
+        let costs = w.costs();
         let c = costs.vmread // confirm the enable bit in the merged controls
             + costs.walk_mem_ref // vmcs12 lookup
             + costs.rdtsc

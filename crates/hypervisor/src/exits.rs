@@ -16,6 +16,7 @@
 //!    the recursion.
 
 use crate::config::IoModel;
+use crate::memo::Step;
 use crate::world::World;
 use dvh_arch::apic::IcrValue;
 use dvh_arch::msr;
@@ -53,7 +54,7 @@ impl World {
         let outermost = self.exit_depth[cpu] == 0;
         let t0 = if outermost { Some(self.now(cpu)) } else { None };
         self.exit_depth[cpu] += 1;
-        self.vmexit_inner(from_level, cpu, reason, qual);
+        self.memo_exit(from_level, cpu, reason, qual);
         self.exit_depth[cpu] -= 1;
         if let Some(t0) = t0 {
             let spent = self.now(cpu) - t0;
@@ -77,7 +78,9 @@ impl World {
         }
     }
 
-    fn vmexit_inner(
+    /// The handling [`World::vmexit`] wraps: the recursion itself, and
+    /// what the exit memo (`memo.rs`) records and replays.
+    pub(crate) fn vmexit_inner(
         &mut self,
         from_level: usize,
         cpu: usize,
@@ -88,6 +91,7 @@ impl World {
         // are charged) so a Completed event's `spent` equals exactly
         // `completed.at - exit.at` for outermost exits.
         self.stats.record_exit(from_level, reason);
+        self.memo.note(cpu, Step::Exit(from_level, reason));
         let qual_field = qual.vmcs_field;
         self.trace(|w| crate::trace::TraceEvent::Exit {
             at: w.now(cpu),
@@ -251,8 +255,7 @@ impl World {
                 // vmcs02 (one native vmwrite per dirty field) and
                 // launch it (KVM's prepare_vmcs02).
                 for f in field::VMCS12_DIRTY_FIELDS {
-                    let v = self.vmcs(from_level, cpu).read(*f);
-                    self.vmcs_mut(0, cpu).write(*f, v);
+                    self.vmcs_copy(0, from_level, cpu, *f);
                 }
                 // The merge is where hardware's VM-entry checks run on
                 // the guest hypervisor's vmcs12.
@@ -270,7 +273,7 @@ impl World {
             _ => {}
         }
         // Resume the guest: one native vmwrite of its RIP, then entry.
-        self.vmcs_mut(0, cpu).write(field::GUEST_RIP, 0);
+        self.vmcs_set(0, cpu, field::GUEST_RIP, 0);
         self.l0_enter(cpu, c + self.costs.vmwrite);
     }
 
@@ -288,7 +291,7 @@ impl World {
                 // Emulate the LAPIC timer with an hrtimer, then arm
                 // the hardware timer.
                 if from_level == 1 {
-                    self.timers[cpu].arm(qual.msr_value);
+                    self.arm_leaf_timer(cpu, qual.msr_value);
                 }
                 pending + self.costs.rdtsc + self.costs.hrtimer_program + self.costs.wrmsr
             }
@@ -384,6 +387,7 @@ impl World {
         }
         let spent = self.now(cpu) - t0;
         self.stats.interventions.record(owner, spent);
+        self.memo.note(cpu, Step::Intervention(owner, spent));
     }
 
     /// Writes synthetic exit state into the VMCS the hypervisor at
@@ -396,10 +400,19 @@ impl World {
         reason: ExitReason,
         qual: &ExitQualification,
     ) {
-        let m = self.vmcs_mut(reader_level, cpu);
-        m.write(field::VM_EXIT_REASON, reason.number() as u64);
-        m.write(field::EXIT_QUALIFICATION, qual.raw);
-        m.write(field::GUEST_PHYSICAL_ADDRESS, qual.guest_physical);
+        self.vmcs_set(
+            reader_level,
+            cpu,
+            field::VM_EXIT_REASON,
+            reason.number() as u64,
+        );
+        self.vmcs_set(reader_level, cpu, field::EXIT_QUALIFICATION, qual.raw);
+        self.vmcs_set(
+            reader_level,
+            cpu,
+            field::GUEST_PHYSICAL_ADDRESS,
+            qual.guest_physical,
+        );
     }
 
     /// The `vmresume` instruction executed by the guest hypervisor at
@@ -447,14 +460,12 @@ impl World {
         #[allow(clippy::needless_range_loop)]
         for i in 0..self.profile.hot_writes.len() {
             let f = self.profile.hot_writes[i];
-            let v = self.vmcs(level, cpu).read(f);
-            self.hv_vmwrite(level, cpu, f, v);
+            self.hv_vmwrite(level, cpu, f, level, 0);
         }
         #[allow(clippy::needless_range_loop)]
         for i in 0..self.profile.cold_writes.len() {
             let f = self.profile.cold_writes[i];
-            let v = self.vmcs(level, cpu).read(f);
-            self.hv_vmwrite(level, cpu, f, v);
+            self.hv_vmwrite(level, cpu, f, level, 0);
         }
         for i in 0..self.profile.entry_msr_writes {
             if i == 0 {
@@ -507,7 +518,7 @@ impl World {
                     self.compute(cpu, self.costs.rdtsc);
                     self.compute(cpu, self.costs.hrtimer_program);
                     if from_level == self.leaf_level() {
-                        self.timers[cpu].arm(qual.msr_value);
+                        self.arm_leaf_timer(cpu, qual.msr_value);
                     }
                     self.hv_wrmsr(owner, cpu, msr::IA32_TSC_DEADLINE, qual.msr_value);
                     self.advance_guest_rip(owner, cpu);
@@ -590,8 +601,7 @@ impl World {
                 // owner.
                 self.compute(cpu, self.costs.vmcs02_merge);
                 for f in field::VMCS12_DIRTY_FIELDS {
-                    let v = self.vmcs(from_level, cpu).read(*f);
-                    self.hv_vmwrite(owner, cpu, *f, v);
+                    self.hv_vmwrite(owner, cpu, *f, from_level, 0);
                 }
                 self.on_vmentry(from_level, cpu);
                 self.hv_vmptrld(owner, cpu);
@@ -612,8 +622,7 @@ impl World {
 
     /// Advances the exiting guest's RIP past the emulated instruction.
     fn advance_guest_rip(&mut self, owner: usize, cpu: usize) {
-        let rip = self.vmcs(owner, cpu).read(field::GUEST_RIP);
-        self.hv_vmwrite(owner, cpu, field::GUEST_RIP, rip.wrapping_add(3));
+        self.hv_vmwrite(owner, cpu, field::GUEST_RIP, owner, 3);
     }
 
     /// Combined TSC offset from L0 down to (and including) the

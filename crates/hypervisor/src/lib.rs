@@ -46,6 +46,7 @@ pub mod extension;
 mod guest;
 mod io;
 mod lifecycle;
+mod memo;
 mod memory_virt;
 pub mod profile;
 mod runtime;
@@ -57,6 +58,7 @@ pub mod world;
 pub use check::VmentryFinding;
 pub use config::{DvhFlags, HvKind, IoModel, WorldConfig};
 pub use extension::{Intercept, L0Extension};
+pub use memo::MEMO_CAPACITY;
 pub use runtime::IrqPath;
 pub use stats::RunStats;
 pub use trace::TraceEvent;

@@ -105,6 +105,12 @@ impl ExitLedger {
         *self.at(slot(level, reason)) += 1;
     }
 
+    /// Adds `n` exits to the counter for (`level`, `reason`).
+    #[inline(always)]
+    pub fn add(&mut self, level: usize, reason: ExitReason, n: u64) {
+        *self.at(slot(level, reason)) += n;
+    }
+
     /// The count for (`level`, `reason`).
     pub fn get(&self, level: usize, reason: ExitReason) -> u64 {
         self.get_cell(level, reason).copied().unwrap_or(0)
@@ -178,6 +184,13 @@ impl InterventionLedger {
     #[inline(always)]
     pub fn record(&mut self, level: usize, spent: Cycles) {
         self.at(level).reflected.observe(spent.as_u64());
+    }
+
+    /// Records `n` exits delivered to the hypervisor at `level`, each
+    /// of which took `spent` cycles.
+    #[inline(always)]
+    pub fn record_n(&mut self, level: usize, spent: Cycles, n: u64) {
+        self.at(level).reflected.observe_n(spent.as_u64(), n);
     }
 
     /// Records one interrupt relayed through the hypervisor at `level`.

@@ -19,6 +19,7 @@
 
 use crate::config::{HvKind, IoModel, WorldConfig};
 use crate::extension::L0Extension;
+use crate::memo::Step;
 use crate::profile::HvProfile;
 use crate::stats::RunStats;
 use crate::trace::Tracer;
@@ -61,15 +62,16 @@ pub const SHADOW_VMCS_ADDR: u64 = 0x8000;
 
 /// The simulated machine.
 pub struct World {
-    /// Cycle-cost model in force.
-    pub costs: CostModel,
+    /// Cycle-cost model in force (fixed at build, like `profile` and
+    /// `shadow`: the exit memo relies on it).
+    pub(crate) costs: CostModel,
     /// Machine configuration.
     pub config: WorldConfig,
     /// World-switch footprint of guest hypervisors.
-    pub profile: HvProfile,
+    pub(crate) profile: HvProfile,
     shadow: ShadowFieldSet,
-    cpus: Vec<PhysCpu>,
-    vmcs: Vec<Vec<Vmcs>>,
+    pub(crate) cpus: Vec<PhysCpu>,
+    pub(crate) vmcs: Vec<Vec<Vmcs>>,
     /// Per leaf-vCPU halt chain: hypervisor levels that blocked this
     /// vCPU, outermost (deepest level) first, always ending in 0 when
     /// the physical CPU actually halted. Empty = running; a woken
@@ -163,6 +165,8 @@ pub struct World {
     pub(crate) vmentry_checks: bool,
     /// Violations collected while `vmentry_checks` is on.
     pub(crate) vmentry_findings: Vec<crate::check::VmentryFinding>,
+    /// Reflected subtrees replayed as one delta (see `memo.rs`).
+    pub(crate) memo: crate::memo::Memo,
 }
 
 impl World {
@@ -174,16 +178,27 @@ impl World {
     /// [`WorldConfig::validate`]); use `validate` first for a
     /// recoverable check.
     pub fn new(costs: CostModel, config: WorldConfig) -> World {
-        if let Err(e) = config.validate() {
-            panic!("invalid configuration: {e}");
-        }
-        let n = config.levels;
-        let v = config.leaf_vcpus;
         let profile = match config.guest_hv {
             HvKind::Kvm => HvProfile::kvm(),
             HvKind::Xen => HvProfile::xen(),
             HvKind::KvmArm => HvProfile::kvm_arm(),
         };
+        World::with_profile(costs, config, profile)
+    }
+
+    /// Builds a machine whose guest hypervisors run `profile` instead
+    /// of the one `config.guest_hv` names (handler-footprint
+    /// ablations).
+    ///
+    /// # Panics
+    ///
+    /// As [`World::new`].
+    pub fn with_profile(costs: CostModel, config: WorldConfig, profile: HvProfile) -> World {
+        if let Err(e) = config.validate() {
+            panic!("invalid configuration: {e}");
+        }
+        let n = config.levels;
+        let v = config.leaf_vcpus;
         let mut vmcs = Vec::with_capacity(n);
         for k in 0..n {
             let mut per_cpu = Vec::with_capacity(v);
@@ -295,6 +310,7 @@ impl World {
                 | dvh_arch::vmx::cap::VCIMTAR,
             vmentry_checks: false,
             vmentry_findings: Vec::new(),
+            memo: crate::memo::Memo::default(),
             config,
         };
         w.setup_io();
@@ -425,6 +441,19 @@ impl World {
     /// from a nested VM to its guest hypervisor.
     pub fn register_extension(&mut self, ext: Box<dyn L0Extension>) {
         self.extensions.push(ext);
+        // What a stored subtree did may now be claimed by the extension.
+        self.memo.clear();
+    }
+
+    /// The cycle-cost model, fixed when the world was built.
+    pub fn costs(&self) -> &CostModel {
+        &self.costs
+    }
+
+    /// The guest hypervisors' handler profile, fixed when the world
+    /// was built.
+    pub fn profile(&self) -> &HvProfile {
+        &self.profile
     }
 
     // ---- Clock and accounting helpers ---------------------------------
@@ -653,10 +682,17 @@ impl World {
         self.vmcs[level][cpu].read(f)
     }
 
-    /// `vmwrite` of `f = v` by the hypervisor at `level`; inlined like
-    /// [`World::hv_vmread`].
+    /// `vmwrite` of field `f` by the hypervisor at `level`, with the
+    /// value the same field holds in `vmcs[src][cpu]` plus `add`: a
+    /// copy, an identity rewrite (`src == level`) or a bump. Taking the
+    /// value from the hierarchy lets the exit memo trace it. The value
+    /// is read before the instruction traps and stored after; the
+    /// trap's subtree writes only the VMCS of levels below `level`, so
+    /// for `src >= level` the store equals the copy the memo records.
+    /// Inlined like [`World::hv_vmread`].
     #[inline(always)]
-    pub fn hv_vmwrite(&mut self, level: usize, cpu: usize, f: u32, v: u64) {
+    pub fn hv_vmwrite(&mut self, level: usize, cpu: usize, f: u32, src: usize, add: u64) {
+        let v = self.vmcs[src][cpu].read(f).wrapping_add(add);
         if level == 1 && self.profile.uses_shadowing && self.shadow.covers_write(f) {
             self.compute(cpu, self.costs.shadow_vmwrite);
         } else {
@@ -668,6 +704,7 @@ impl World {
             );
         }
         self.vmcs[level][cpu].write(f, v);
+        self.memo.note(cpu, Step::copy(level, src, f, add));
     }
 
     /// The trapping branch of the inlined primitives, kept out of line

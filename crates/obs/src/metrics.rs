@@ -180,6 +180,14 @@ impl Histogram {
         self.sum = self.sum.saturating_add(value);
     }
 
+    /// Records `n` observations of `value`: the same histogram as `n`
+    /// calls of [`Histogram::observe`].
+    pub fn observe_n(&mut self, value: u64, n: u64) {
+        self.buckets[cycle_bucket_index(value)] += n;
+        self.count += n;
+        self.sum = self.sum.saturating_add(value.saturating_mul(n));
+    }
+
     /// Observations recorded.
     pub fn count(&self) -> u64 {
         self.count
